@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .clustering import Clustering, KSearchConfig, silhouette
+from .clustering import KSearchConfig, silhouette
 from .evaluation import contingency, score_video, v_measure
 from .geometry import as_matrix
 from .matching import BEST_SILHOUETTE, CENTROID, MatchConfig
@@ -30,25 +30,6 @@ def _ksearch(args) -> KSearchConfig:
         min_silhouette=args.min_silhouette,
         max_clusters=args.max_clusters,
     )
-
-
-def _write_clustering(clustering: Clustering, embeddings, score: float | None, path: str) -> None:
-    doc = {
-        "format": "clustermatch-clustering",
-        "version": 1,
-        "num_clusters": clustering.num_clusters,
-        "converged": clustering.converged,
-        "silhouette_score": score,
-        "assignments": [[e.id, int(c)] for e, c in zip(embeddings, clustering.assignments)],
-    }
-    formats._atomic_write(path, json.dumps(doc, indent=1) + "\n")
-
-
-def _read_clustering(path: str) -> tuple[dict[str, int], int]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != "clustermatch-clustering":
-        raise formats.FormatError(f"{path}: not a clustering file")
-    return {eid: int(c) for eid, c in doc["assignments"]}, int(doc["num_clusters"])
 
 
 def cmd_synth(args) -> int:
@@ -74,14 +55,12 @@ def cmd_synth(args) -> int:
 def cmd_cluster(args) -> int:
     embeddings = formats.read_embeddings(args.input)
     k = None if args.auto_k else args.k
-    if k is None and not args.auto_k and args.algo != "ap":
-        raise SystemExit("either --k or --auto-k is required for this algorithm")
     algo = {"kmeans": "kmeans", "ward": "ward", "ap": "affinity_propagation"}[args.algo]
     clustering = run_clustering(embeddings, algorithm=algo, k=k, ksearch=_ksearch(args), seed=args.seed)
     score = None
     if clustering.num_clusters >= 2:
         score = silhouette(as_matrix(embeddings), clustering).score
-    _write_clustering(clustering, embeddings, score, args.out)
+    formats.write_clustering(clustering, embeddings, score, args.out)
     print(f"clustered {len(embeddings)} embeddings into {clustering.num_clusters} clusters")
     return 0
 
@@ -155,7 +134,7 @@ def cmd_match(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.mode == "vmeasure":
         embeddings = formats.read_embeddings(args.input)
-        assignment_by_id, _ = _read_clustering(args.clustering)
+        assignment_by_id, _ = formats.read_clustering(args.clustering)
         truth = []
         assigned = []
         for e in embeddings:

@@ -286,7 +286,6 @@ class WardTree:
 
     n_points: int
     merges: list[WardMerge] = field(default_factory=list)
-    _merge_members: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(default_factory=list)
 
     def cut(self, k: int) -> Clustering:
         if not 1 <= k <= self.n_points:
@@ -330,7 +329,6 @@ def ward_tree(data) -> WardTree:
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
     reps = np.arange(n)
-    members: list[tuple[int, ...]] = [(i,) for i in range(n)]
 
     # per-row nearest-neighbor cache so each step avoids a full-matrix scan
     rowmin = D.min(axis=1)
@@ -351,7 +349,6 @@ def ward_tree(data) -> WardTree:
         tree.merges.append(
             WardMerge(rep_a=int(min(reps[i], reps[j])), rep_b=int(max(reps[i], reps[j])), cost=float(D[i, j]))
         )
-        tree._merge_members.append((members[i], members[j]))
 
         ni, nj = sizes[i], sizes[j]
         # Lance-Williams update for Ward: cost(ij, k)
@@ -363,7 +360,6 @@ def ward_tree(data) -> WardTree:
         D[others, i] = Dnew
         sizes[i] = ni + nj
         reps[i] = min(reps[i], reps[j])
-        members[i] = tuple(sorted(members[i] + members[j]))
         active[j] = False
         D[j, :] = np.inf
         D[:, j] = np.inf

@@ -1,4 +1,4 @@
-"""On-disk formats: embedding files, the labeled-cluster store, and face label files.
+"""On-disk formats: embedding files, the labeled-cluster store, clustering files, and face label files.
 
 Everything is line-oriented text (or JSON for the store) with floats written at
 full round-trip precision, so reading back a file reproduces the in-memory
@@ -8,18 +8,25 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .clustering import Clustering
 from .geometry import Embedding
 from .matching import LabeledCluster, LabeledClusterSet
 
 EMBEDDING_HEADER_PREFIX = "#emb v1 dim="
 STORE_VERSION = 1
+CLUSTERING_VERSION = 1
+
+# mkstemp creates 0600 files; written files get the usual 0666 & ~umask instead
+_UMASK = os.umask(0)
+os.umask(_UMASK)
 
 
 class FormatError(ValueError):
-    """A file failed to parse; the message names the offending line."""
+    """A file failed to parse; the message names the offending line, or entry and key."""
 
 
 def _fmt_float(x: float) -> str:
@@ -27,10 +34,73 @@ def _fmt_float(x: float) -> str:
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write through a temporary file of its own in the target's directory, then rename it."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read_json_object(path: str | Path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object at the top level, got {type(doc).__name__}")
+    return doc
+
+
+def _field(path: str | Path, where: str, obj, key: str, convert):
+    """``convert(obj[key])``; a missing key or a bad value raises FormatError naming both."""
+    if key not in obj:
+        raise FormatError(f"{path}: {where}: missing key {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {where}: bad value for {key!r} ({exc})") from None
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _strings(value) -> tuple[str, ...]:
+    return tuple(_string(x) for x in _list(value))
+
+
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(x) for x in _list(value))
+
+
+def _histogram(value) -> dict[str, int]:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return {k: int(v) for k, v in value.items()}
+
+
+# required keys of a store entry and their parsers; label_histogram is optional
+_STORE_ENTRY_FIELDS = (
+    ("label", _string),
+    ("member_ids", _strings),
+    ("centroid", _floats),
+    ("best_silhouette_id", _string),
+    ("best_silhouette_vector", _floats),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -139,26 +209,65 @@ def write_store(
 
 def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
     """Load a store file; returns the set and its creation metadata."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    doc = _read_json_object(path)
     if doc.get("format") != "clustermatch-store":
         raise FormatError(f"{path}: not a clustermatch store file")
     if doc.get("version") != STORE_VERSION:
         raise FormatError(f"{path}: unsupported store version {doc.get('version')!r}")
-    entries = tuple(
-        LabeledCluster(
-            label=e["label"],
-            member_ids=tuple(e["member_ids"]),
-            centroid=tuple(float(x) for x in e["centroid"]),
-            best_silhouette_id=e["best_silhouette_id"],
-            best_silhouette_vector=tuple(float(x) for x in e["best_silhouette_vector"]),
-            label_histogram={k: int(v) for k, v in e.get("label_histogram", {}).items()},
-        )
-        for e in doc["entries"]
-    )
-    return LabeledClusterSet(entries=entries, dimension=int(doc["dimension"])), doc.get("metadata", {})
+    dimension = _field(path, "top level", doc, "dimension", int)
+    entries = []
+    for index, e in enumerate(_field(path, "top level", doc, "entries", _list)):
+        where = f"entry {index}"
+        if not isinstance(e, dict):
+            raise FormatError(f"{path}: {where}: expected a JSON object, got {type(e).__name__}")
+        fields = {key: _field(path, where, e, key, convert) for key, convert in _STORE_ENTRY_FIELDS}
+        if "label_histogram" in e:
+            fields["label_histogram"] = _field(path, where, e, "label_histogram", _histogram)
+        try:
+            entries.append(LabeledCluster(**fields))
+        except ValueError as exc:
+            raise FormatError(f"{path}: {where}: {exc}") from None
+    try:
+        store = LabeledClusterSet(entries=tuple(entries), dimension=dimension)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return store, doc.get("metadata", {})
+
+
+# ---------------------------------------------------------------------------
+# clustering files
+
+
+def write_clustering(
+    clustering: Clustering,
+    embeddings: Sequence[Embedding],
+    score: float | None,
+    path: str | Path,
+) -> None:
+    """Persist a clustering as versioned JSON: one [embedding id, cluster index] pair per point."""
+    doc = {
+        "format": "clustermatch-clustering",
+        "version": CLUSTERING_VERSION,
+        "num_clusters": clustering.num_clusters,
+        "converged": clustering.converged,
+        "silhouette_score": score,
+        "assignments": [[e.id, int(c)] for e, c in zip(embeddings, clustering.assignments)],
+    }
+    _atomic_write(path, json.dumps(doc, indent=1) + "\n")
+
+
+def read_clustering(path: str | Path) -> tuple[dict[str, int], int]:
+    """Load a clustering file; returns the cluster index by embedding id, and the cluster count."""
+    doc = _read_json_object(path)
+    if doc.get("format") != "clustermatch-clustering":
+        raise FormatError(f"{path}: not a clustering file")
+    num_clusters = _field(path, "top level", doc, "num_clusters", int)
+    assignment_by_id = {}
+    for index, pair in enumerate(_field(path, "top level", doc, "assignments", _list)):
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], int)):
+            raise FormatError(f"{path}: assignment {index}: expected [embedding id, cluster index], got {pair!r}")
+        assignment_by_id[pair[0]] = pair[1]
+    return assignment_by_id, num_clusters
 
 
 # ---------------------------------------------------------------------------

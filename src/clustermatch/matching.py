@@ -25,15 +25,6 @@ DEFAULT_RMSE_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
-class ClusterEmbedding:
-    """A single vector standing in for a whole cluster."""
-
-    vector: tuple[float, ...]
-    method: str
-    cluster_id: str | None = None
-
-
-@dataclass(frozen=True)
 class LabeledCluster:
     """One reference entry: a label, its member ids, and both cluster-embedding variants."""
 
@@ -57,20 +48,19 @@ class LabeledCluster:
             return frozenset(self.label_histogram)
         return frozenset({self.label})
 
-    def embedding_for(self, method: str) -> tuple[float, ...]:
-        if method == CENTROID:
-            return self.centroid
-        if method == BEST_SILHOUETTE:
-            return self.best_silhouette_vector
-        raise ValueError(f"unknown cluster embedding method {method!r}")
-
 
 @dataclass(frozen=True)
 class LabeledClusterSet:
-    """The reference store of labeled clusters; entry order is fixed and load-bearing."""
+    """The reference store of labeled clusters; entry order is fixed and load-bearing.
+
+    ``centroids`` and ``best_silhouette_vectors`` are read-only (S, d) matrices
+    built from the entries, row i for entry i.
+    """
 
     entries: tuple[LabeledCluster, ...]
     dimension: int
+    centroids: np.ndarray = field(init=False, repr=False, compare=False)
+    best_silhouette_vectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen_ids: set[str] = set()
@@ -83,6 +73,13 @@ class LabeledClusterSet:
                 if mid in seen_ids:
                     raise ValueError(f"duplicate member id {mid!r} across store entries")
                 seen_ids.add(mid)
+        for name, rows in (
+            ("centroids", [e.centroid for e in self.entries]),
+            ("best_silhouette_vectors", [e.best_silhouette_vector for e in self.entries]),
+        ):
+            mat = np.array(rows, dtype=np.float64).reshape(len(rows), self.dimension)
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -129,54 +126,40 @@ class MatchDecision:
             raise ValueError(f"probability vector sums to {total}, expected 1")
 
 
-def make_cluster_embedding(
-    members,
-    method: str = CENTROID,
-    *,
-    data=None,
-    clustering: Clustering | None = None,
-    cluster_index: int | None = None,
-    cluster_id: str | None = None,
-) -> ClusterEmbedding:
-    """Summarize a cluster as one vector.
+def make_cluster_embedding(members) -> np.ndarray:
+    """Summarize a cluster as one vector: the mean of its rows (a single row is itself).
 
-    ``centroid`` takes the component-wise mean. ``best_silhouette_sample``
-    returns the member with the highest silhouette coefficient, which needs the
-    full clustering context (``data``, ``clustering``, ``cluster_index``); with
-    fewer than two clusters the silhouette is undefined and the centroid is
-    used instead.
+    The best-silhouette sample of a cluster is chosen by
+    ``best_silhouette_members`` and passed here as a single row.
     """
     mat = as_matrix(members)
     if mat.shape[0] == 0:
         raise ValueError("cannot embed an empty cluster")
+    return mat.mean(axis=0)
 
-    if method == CENTROID or mat.shape[0] == 1:
-        vec = mat[0] if mat.shape[0] == 1 and method == BEST_SILHOUETTE else mat.mean(axis=0)
-        return ClusterEmbedding(vector=tuple(float(x) for x in vec), method=method, cluster_id=cluster_id)
 
-    if method != BEST_SILHOUETTE:
-        raise ValueError(f"unknown cluster embedding method {method!r}")
+def best_silhouette_members(data, clustering: Clustering) -> list[int]:
+    """Per cluster, the index of the member that stands in for it as the best-silhouette sample.
 
-    if clustering is None or data is None or cluster_index is None or clustering.num_clusters < 2:
-        # silhouette undefined without a >=2-cluster context
-        return ClusterEmbedding(
-            vector=tuple(float(x) for x in mat.mean(axis=0)), method=CENTROID, cluster_id=cluster_id
-        )
-
-    full = as_matrix(data)
-    report = silhouette(full, clustering)
-    member_idx = clustering.members(cluster_index)
-    coeffs = [report.coefficients[i] for i in member_idx]
-    best_local = int(np.argmax(coeffs))
-    vec = full[member_idx[best_local]]
-    return ClusterEmbedding(vector=tuple(float(x) for x in vec), method=method, cluster_id=cluster_id)
+    With >= 2 clusters this is the member with the highest silhouette
+    coefficient, from one silhouette computation over the whole clustering; with
+    a single cluster (silhouette undefined) it is the member nearest the
+    centroid. Ties break on the lowest point index.
+    """
+    mat = as_matrix(data)
+    if clustering.num_clusters < 2:
+        return [int(np.argmin(np.linalg.norm(mat - mat.mean(axis=0), axis=1)))]
+    coeffs = np.asarray(silhouette(mat, clustering).coefficients)
+    assign = np.asarray(clustering.assignments)
+    # by cluster, then by descending coefficient; the sort is stable, so ties keep index order
+    order = np.lexsort((-coeffs, assign))
+    firsts = np.searchsorted(assign[order], np.arange(clustering.num_clusters))
+    return [int(i) for i in order[firsts]]
 
 
 def similarity(q, c, rmse_epsilon: float = DEFAULT_RMSE_EPSILON) -> float:
     """Inverse-RMSE similarity; the RMSE is clamped below by ``rmse_epsilon``."""
-    qv = q.vector if isinstance(q, ClusterEmbedding) else q
-    cv = c.vector if isinstance(c, ClusterEmbedding) else c
-    return 1.0 / max(rmse(qv, cv), rmse_epsilon)
+    return 1.0 / max(rmse(q, c), rmse_epsilon)
 
 
 def truncate_top_alpha(similarities, alpha: int) -> np.ndarray:
@@ -249,31 +232,23 @@ def match_cluster(
     query_members,
     store: LabeledClusterSet,
     config: MatchConfig = MatchConfig(),
-    *,
-    query_data=None,
-    query_clustering: Clustering | None = None,
-    query_cluster_index: int | None = None,
 ) -> MatchDecision:
     """Full matching chain for one query cluster.
 
-    Builds the query's cluster embedding, computes inverse-RMSE similarities to
-    every labeled cluster, truncates to the top alpha, applies the softmax, and
-    returns the decision.
+    The query vector is ``make_cluster_embedding(query_members)``. It is scored
+    against the store's vectors of ``config.cluster_embedding_method`` by
+    inverse RMSE, the scores are truncated to the top alpha, and the softmax
+    decides.
     """
     if len(store) == 0:
         raise ValueError("labeled cluster set is empty")
-    q = make_cluster_embedding(
-        query_members,
-        config.cluster_embedding_method,
-        data=query_data,
-        clustering=query_clustering,
-        cluster_index=query_cluster_index,
-    )
-    if len(q.vector) != store.dimension:
-        raise ValueError(f"query dimension {len(q.vector)} != store dimension {store.dimension}")
-    sims = np.array(
-        [similarity(q.vector, e.embedding_for(config.cluster_embedding_method), config.rmse_epsilon) for e in store.entries]
-    )
+    q = make_cluster_embedding(query_members)
+    if q.shape[0] != store.dimension:
+        raise ValueError(f"query dimension {q.shape[0]} != store dimension {store.dimension}")
+    stored = store.centroids if config.cluster_embedding_method == CENTROID else store.best_silhouette_vectors
+    # row-wise similarity(q, row): the same operations in the same order, so equal bit for bit
+    rmses = np.sqrt(np.sum((stored - q) ** 2, axis=1) / store.dimension)
+    sims = 1.0 / np.maximum(rmses, config.rmse_epsilon)
     trunc = truncate_top_alpha(sims, config.alpha)
     probs = match_probabilities(trunc)
     return sigma(probs, store, config.probability_threshold, similarities=sims, truncated=trunc)

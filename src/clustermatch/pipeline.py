@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .clustering import (
     Clustering,
     KSearchConfig,
@@ -13,19 +11,23 @@ from .clustering import (
     agglomerative_ward,
     estimate_clustering,
     kmeans,
-    silhouette,
 )
-from .geometry import Embedding, as_matrix
+from .geometry import as_matrix
 from .matching import (
+    BEST_SILHOUETTE,
     LabeledCluster,
     LabeledClusterSet,
     MatchConfig,
     MatchDecision,
+    best_silhouette_members,
     majority_label,
     match_cluster,
 )
 
 NON_REGISTERED = "non-registered"
+
+# the benchmark (perfbench/tracer.py) times the representative choice under this name
+_representatives = best_silhouette_members
 
 
 def run_clustering(
@@ -48,27 +50,6 @@ def run_clustering(
     raise ValueError(f"unknown clustering algorithm {algorithm!r}")
 
 
-def _representatives(embeddings: list[Embedding], mat: np.ndarray, clustering: Clustering) -> list[int]:
-    """Per cluster, the index of the member used as the silhouette-based representative.
-
-    With >= 2 clusters this is the member with the highest silhouette
-    coefficient; with a single cluster (silhouette undefined) the member
-    closest to the centroid. Ties break on the lowest point index.
-    """
-    if clustering.num_clusters >= 2:
-        report = silhouette(mat, clustering)
-        reps = []
-        for c in range(clustering.num_clusters):
-            members = clustering.members(c)
-            best = max(members, key=lambda i: (report.coefficients[i], -i))
-            reps.append(best)
-        return reps
-    members = clustering.members(0)
-    center = mat.mean(axis=0)
-    dists = np.linalg.norm(mat - center, axis=1)
-    return [min(members, key=lambda i: (dists[i], i))]
-
-
 def build_labeled_store(
     embeddings,
     algorithm: str = "ward",
@@ -88,7 +69,7 @@ def build_labeled_store(
         raise ValueError("cannot build a store from an empty embedding set")
     mat = as_matrix(embeddings)
     clustering = run_clustering(embeddings, algorithm=algorithm, k=k, ksearch=ksearch, seed=seed)
-    reps = _representatives(embeddings, mat, clustering)
+    reps = _representatives(mat, clustering)
 
     entries = []
     for c in range(clustering.num_clusters):
@@ -159,17 +140,15 @@ def recognize(
         raise ValueError(f"video dimension {mat.shape[1]} != store dimension {store.dimension}")
 
     clustering = estimate_clustering(mat, algorithm=algorithm, config=ksearch, seed=seed)
+    # with one cluster the silhouette is undefined and the query falls back to its centroid
+    reps = None
+    if match_config.cluster_embedding_method == BEST_SILHOUETTE and clustering.num_clusters >= 2:
+        reps = _representatives(mat, clustering)
     outcomes = []
     for c in range(clustering.num_clusters):
         members = clustering.members(c)
-        decision = match_cluster(
-            mat[members],
-            store,
-            match_config,
-            query_data=mat,
-            query_clustering=clustering,
-            query_cluster_index=c,
-        )
+        query = mat[members] if reps is None else mat[[reps[c]]]
+        decision = match_cluster(query, store, match_config)
         outcomes.append(
             ClusterOutcome(
                 cluster_index=c,

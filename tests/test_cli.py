@@ -172,6 +172,43 @@ class TestErrorHandling:
         with pytest.raises(SystemExit):
             run(["evaluate", "--mode", "video"])
 
+    @pytest.fixture
+    def emb(self, tmp_path):
+        emb = tmp_path / "faces.emb"
+        run(SYNTH + ["--out", emb])
+        return emb
+
+    def assert_one_error_line(self, capsys, *parts):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        for part in parts:
+            assert part in err[0]
+
+    def test_store_entry_missing_centroid(self, emb, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        assert run(["label", "--in", emb, "--auto-k", "--out", store]) == 0
+        doc = json.loads(store.read_text())
+        del doc["entries"][2]["centroid"]
+        store.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["match", "--in", emb, "--store", store, "--out", tmp_path / "l.tsv"]) == 1
+        self.assert_one_error_line(capsys, "store.json", "entry 2", "'centroid'")
+
+    def test_store_top_level_list(self, emb, tmp_path, capsys):
+        store = tmp_path / "store.json"
+        store.write_text("[]")
+        capsys.readouterr()
+        assert run(["match", "--in", emb, "--store", store, "--out", tmp_path / "l.tsv"]) == 1
+        self.assert_one_error_line(capsys, "store.json", "list")
+
+    def test_clustering_missing_assignments(self, emb, tmp_path, capsys):
+        clustering = tmp_path / "cl.json"
+        clustering.write_text(json.dumps({"format": "clustermatch-clustering", "version": 1, "num_clusters": 5}))
+        capsys.readouterr()
+        code = run(["evaluate", "--mode", "vmeasure", "--in", emb, "--clustering", clustering])
+        assert code == 1
+        self.assert_one_error_line(capsys, "cl.json", "'assignments'")
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             run(["frobnicate"])

@@ -1,10 +1,17 @@
+import json
+import os
+
 import pytest
 
+from clustermatch.clustering import Clustering
 from clustermatch.formats import (
     FormatError,
+    _atomic_write,
+    read_clustering,
     read_embeddings,
     read_face_labels,
     read_store,
+    write_clustering,
     write_embeddings,
     write_face_labels,
     write_store,
@@ -123,6 +130,100 @@ class TestStoreFile:
         path.write_text("{nope")
         with pytest.raises(FormatError):
             read_store(path)
+
+    def test_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("[]")
+        with pytest.raises(FormatError, match="s.json: expected a JSON object at the top level, got list"):
+            read_store(path)
+
+    @pytest.mark.parametrize("key", ["label", "member_ids", "centroid", "best_silhouette_id", "best_silhouette_vector"])
+    def test_missing_entry_key_names_file_entry_and_key(self, tmp_path, store, key):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        del doc["entries"][1][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"s.json: entry 1: missing key '{key}'"):
+            read_store(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("centroid", "oops"), ("centroid", [1.0, "x"]), ("member_ids", [1]), ("label_histogram", [])],
+    )
+    def test_bad_entry_value_names_file_entry_and_key(self, tmp_path, store, key, value):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][0][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"s.json: entry 0: bad value for '{key}'"):
+            read_store(path)
+
+    def test_inconsistent_entry_names_it(self, tmp_path, store):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][1]["centroid"] = [1.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="s.json: entry 1: cluster embedding dimensions disagree"):
+            read_store(path)
+
+    def test_missing_entries_key(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"format": "clustermatch-store", "version": 1, "dimension": 2}))
+        with pytest.raises(FormatError, match="s.json: top level: missing key 'entries'"):
+            read_store(path)
+
+
+class TestClusteringFile:
+    def test_round_trip(self, tmp_path, sample_embeddings):
+        path = tmp_path / "c.json"
+        write_clustering(Clustering(assignments=(0, 1, 0), num_clusters=2), sample_embeddings, 0.5, path)
+        assert read_clustering(path) == ({"a": 0, "b": 1, "c": 0}, 2)
+
+    def test_missing_assignments(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"format": "clustermatch-clustering", "version": 1, "num_clusters": 2}))
+        with pytest.raises(FormatError, match="c.json: top level: missing key 'assignments'"):
+            read_clustering(path)
+
+    def test_bad_assignment_names_it(self, tmp_path):
+        path = tmp_path / "c.json"
+        doc = {"format": "clustermatch-clustering", "num_clusters": 1, "assignments": [["a", 0], ["b"]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="c.json: assignment 1"):
+            read_clustering(path)
+
+    def test_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(FormatError, match="got list"):
+            read_clustering(path)
+
+
+class TestAtomicWrite:
+    def test_stale_tmp_name_does_not_block_the_write(self, tmp_path):
+        out = tmp_path / "out.json"
+        (tmp_path / "out.json.tmp").mkdir()
+        _atomic_write(out, "fresh\n")
+        assert out.read_text() == "fresh\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.json.tmp"]
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            _atomic_write(target, "text")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
+
+    def test_written_file_gets_the_usual_mode(self, tmp_path):
+        out = tmp_path / "out.txt"
+        _atomic_write(out, "x")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestFaceLabelFile:

@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from clustermatch.clustering import Clustering
+from clustermatch.geometry import Embedding
 from clustermatch.matching import (
     BEST_SILHOUETTE,
     CENTROID,
     LabeledCluster,
     LabeledClusterSet,
     MatchConfig,
+    best_silhouette_members,
     majority_label,
     make_cluster_embedding,
     match_cluster,
@@ -20,53 +22,80 @@ from clustermatch.matching import (
     similarity,
     truncate_top_alpha,
 )
+from clustermatch.pipeline import recognize
 
 from .oracles import brute_softmax
 
 
-def make_store(centroids, labels=None, dim=None):
+def make_store(centroids, labels=None, dim=None, silhouette_vectors=None):
     dim = dim if dim is not None else len(centroids[0])
+    silhouette_vectors = silhouette_vectors if silhouette_vectors is not None else centroids
     entries = tuple(
         LabeledCluster(
             label=labels[i] if labels else f"person-{i}",
             member_ids=(f"m{i}",),
             centroid=tuple(float(x) for x in c),
             best_silhouette_id=f"m{i}",
-            best_silhouette_vector=tuple(float(x) for x in c),
+            best_silhouette_vector=tuple(float(x) for x in b),
         )
-        for i, c in enumerate(centroids)
+        for i, (c, b) in enumerate(zip(centroids, silhouette_vectors))
     )
     return LabeledClusterSet(entries=entries, dimension=dim)
 
 
+def similarities_to(query_vector, stored):
+    return tuple(similarity(query_vector, row) for row in stored)
+
+
 class TestMakeClusterEmbedding:
+    """The query vector: the mean of the rows given, or the one best-silhouette row recognize picks."""
+
+    STORE = make_store([(1.0, 1.0), (3.0, 4.0)], silhouette_vectors=[(0.0, 2.0), (3.0, 5.0)])
+
     def test_centroid_midpoint(self):
-        ce = make_cluster_embedding(np.array([[0.0, 0], [2, 2]]), CENTROID)
-        assert ce.vector == (1.0, 1.0)
+        assert tuple(make_cluster_embedding(np.array([[0.0, 0], [2, 2]]))) == (1.0, 1.0)
+        d = match_cluster(np.array([[0.0, 0], [2, 2]]), self.STORE, MatchConfig(cluster_embedding_method=CENTROID))
+        assert d.similarities == similarities_to((1.0, 1.0), self.STORE.centroids)
+        assert d.similarities[0] == 1e12  # exactly the stored centroid
 
     def test_singleton_either_method(self):
-        for method in (CENTROID, BEST_SILHOUETTE):
-            ce = make_cluster_embedding(np.array([[3.0, 4.0]]), method)
-            assert ce.vector == (3.0, 4.0)
+        for method, stored in ((CENTROID, self.STORE.centroids), (BEST_SILHOUETTE, self.STORE.best_silhouette_vectors)):
+            d = match_cluster(np.array([[3.0, 4.0]]), self.STORE, MatchConfig(cluster_embedding_method=method))
+            assert d.similarities == similarities_to((3.0, 4.0), stored)
 
     def test_best_silhouette_picks_highest_coefficient(self):
         data = np.array([[0.0], [1.0], [10.0], [11.0]])
         cl = Clustering(assignments=(0, 0, 1, 1), num_clusters=2)
-        ce = make_cluster_embedding(
-            data[:2], BEST_SILHOUETTE, data=data, clustering=cl, cluster_index=0
-        )
-        assert ce.vector == (0.0,)  # S=0.9047619 beats 0.8947368
+        reps = best_silhouette_members(data, cl)
+        assert tuple(data[reps[0]]) == (0.0,)  # S=0.9047619 beats 0.8947368
+        assert reps == [0, 3]
 
     def test_best_silhouette_single_cluster_falls_back_to_centroid(self):
-        data = np.array([[0.0], [2.0]])
-        cl = Clustering(assignments=(0, 0), num_clusters=1)
-        ce = make_cluster_embedding(data, BEST_SILHOUETTE, data=data, clustering=cl, cluster_index=0)
-        assert ce.vector == (1.0,)
-        assert ce.method == CENTROID
+        # the two points collapse to one cluster (silhouette 0 < 0.2): the query is their centroid
+        store = make_store([(9.0,), (7.0,)], silhouette_vectors=[(1.0,), (5.0,)])
+        video = [Embedding(id="a", vector=(0.0,)), Embedding(id="b", vector=(2.0,))]
+        res = recognize(video, store, MatchConfig(cluster_embedding_method=BEST_SILHOUETTE))
+        assert res.clustering.num_clusters == 1
+        assert res.outcomes[0].decision.similarities == similarities_to((1.0,), store.best_silhouette_vectors)
 
     def test_empty_cluster_errors(self):
         with pytest.raises(ValueError):
-            make_cluster_embedding(np.zeros((0, 2)), CENTROID)
+            make_cluster_embedding(np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            match_cluster(np.zeros((0, 2)), self.STORE)
+
+
+class TestBestSilhouetteMembers:
+    def test_tie_breaks_to_lowest_index(self):
+        data = np.array([[0.0, 100.0], [1.0, 0.0], [-1.0, 0.0]])
+        cl = Clustering(assignments=(0, 1, 1), num_clusters=2)
+        assert best_silhouette_members(data, cl) == [0, 1]
+
+    def test_single_cluster_takes_member_nearest_centroid(self):
+        data = np.array([[0.0], [2.0], [3.0]])
+        assert best_silhouette_members(data, Clustering(assignments=(0, 0, 0), num_clusters=1)) == [1]
+        tied = np.array([[0.0], [2.0]])
+        assert best_silhouette_members(tied, Clustering(assignments=(0, 0), num_clusters=1)) == [0]
 
 
 class TestSimilarity:
@@ -252,6 +281,18 @@ class TestLabeledClusterSet:
         )
         with pytest.raises(ValueError):
             LabeledClusterSet(entries=(entry, entry), dimension=1)
+
+    def test_matrices_follow_entries_and_stay_out_of_eq_and_repr(self):
+        store = make_store([(0.0, 1.0), (2.0, 3.0)], silhouette_vectors=[(0.5, 1.5), (2.5, 3.5)])
+        assert store.centroids.shape == store.best_silhouette_vectors.shape == (2, 2)
+        assert [tuple(r) for r in store.centroids] == [e.centroid for e in store.entries]
+        assert [tuple(r) for r in store.best_silhouette_vectors] == [e.best_silhouette_vector for e in store.entries]
+        assert not store.centroids.flags.writeable
+        assert "centroids" not in repr(store)
+        assert store == LabeledClusterSet(entries=store.entries, dimension=2)
+
+    def test_empty_store_has_empty_matrices(self):
+        assert LabeledClusterSet(entries=(), dimension=3).centroids.shape == (0, 3)
 
     def test_dimension_checked(self):
         entry = LabeledCluster(
