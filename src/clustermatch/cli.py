@@ -7,9 +7,8 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .clustering import KSearchConfig, silhouette
+from .clustering import KSearchConfig
 from .evaluation import contingency, score_video, v_measure
-from .geometry import as_matrix
 from .matching import BEST_SILHOUETTE, CENTROID, MatchConfig
 from .pipeline import NON_REGISTERED, build_labeled_store, recognize, run_clustering
 from .synth import SynthConfig, generate_synthetic
@@ -57,9 +56,7 @@ def cmd_cluster(args) -> int:
     k = None if args.auto_k else args.k
     algo = {"kmeans": "kmeans", "ward": "ward", "ap": "affinity_propagation"}[args.algo]
     clustering = run_clustering(embeddings, algorithm=algo, k=k, ksearch=_ksearch(args), seed=args.seed)
-    score = None
-    if clustering.num_clusters >= 2:
-        score = silhouette(as_matrix(embeddings), clustering).score
+    score = clustering.silhouette.score if clustering.silhouette is not None else None
     formats.write_clustering(clustering, embeddings, score, args.out)
     print(f"clustered {len(embeddings)} embeddings into {clustering.num_clusters} clusters")
     return 0
@@ -139,9 +136,9 @@ def cmd_evaluate(args) -> int:
         assigned = []
         for e in embeddings:
             if e.true_label is None:
-                raise SystemExit(f"embedding {e.id} has no true label")
+                raise ValueError(f"embedding {e.id} has no true label")
             if e.id not in assignment_by_id:
-                raise SystemExit(f"embedding {e.id} missing from clustering file")
+                raise ValueError(f"embedding {e.id} missing from clustering file")
             truth.append(e.true_label)
             assigned.append(assignment_by_id[e.id])
         report = v_measure(contingency(truth, assigned), beta=args.beta)
@@ -157,12 +154,12 @@ def cmd_evaluate(args) -> int:
         gt = []
         for e in truth_emb:
             if e.frame_index is None:
-                raise SystemExit(f"embedding {e.id} has no frame index")
+                raise ValueError(f"embedding {e.id} has no frame index")
             gt.append((e.frame_index, e.id, e.true_label or NON_REGISTERED))
         pred_tags = []
         for face_id, frame, label in predictions:
             if frame is None:
-                raise SystemExit(f"prediction for {face_id} has no frame index")
+                raise ValueError(f"prediction for {face_id} has no frame index")
             pred_tags.append((frame, face_id, label))
         score = score_video(gt, pred_tags)
         out = {
@@ -184,7 +181,7 @@ def cmd_timeline(args) -> int:
     tagged = []
     for face_id, frame, label in rows:
         if frame is None:
-            raise SystemExit(f"face {face_id} has no frame index; timeline needs frame metadata")
+            raise ValueError(f"face {face_id} has no frame index; timeline needs frame metadata")
         tagged.append((label, frame))
     segments = emit_timeline(tagged, fps=args.fps)
     formats._atomic_write(args.out, format_segments(segments))
@@ -273,9 +270,7 @@ def main(argv=None) -> int:
             parser.error("--mode vmeasure requires --in and --clustering")
         if args.mode == "video" and not (args.truth and args.pred):
             parser.error("--mode video requires --truth and --pred")
-    if args.command in ("cluster",) and not args.auto_k and args.k is None and args.algo != "ap":
-        parser.error("either --k or --auto-k is required")
-    if args.command == "label" and not args.auto_k and args.k is None:
+    if args.command in ("cluster", "label") and not args.auto_k and args.k is None and args.algo != "ap":
         parser.error("either --k or --auto-k is required")
     try:
         return args.func(args)

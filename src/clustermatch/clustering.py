@@ -8,7 +8,8 @@ the best score indicates overlap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +27,8 @@ class Clustering:
     num_clusters: int
     converged: bool = True
     exemplars: tuple[int, ...] | None = None  # per-cluster exemplar point, when the algorithm has one
+    # the silhouette of this clustering, set by the K search and pipeline.run_clustering when K >= 2
+    silhouette: SilhouetteReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
@@ -308,13 +311,14 @@ class WardTree:
         return Clustering(assignments=labels, num_clusters=k)
 
 
-def ward_tree(data) -> WardTree:
+def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
     """Build the full Ward dendrogram: greedily merge the pair with the
     minimum increase in total within-cluster variance, updating inter-cluster
     costs with the Lance-Williams recurrence.
 
     Ties break on the lexicographically smallest (min rep, max rep) pair,
     where a cluster's representative is its smallest original point index.
+    ``dist`` is the data's ``pairwise_distances``, computed here when not given.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
@@ -322,9 +326,11 @@ def ward_tree(data) -> WardTree:
     if n == 1:
         return tree
 
+    if dist is None:
+        dist = pairwise_distances(mat)
     # D[i, j] = Ward merge cost between active clusters i and j
-    d2 = pairwise_distances(mat).entries ** 2
-    D = d2 * 0.5  # size-1 clusters: (1*1)/(1+1) * ||ci-cj||^2
+    D = dist * dist
+    D *= 0.5  # size-1 clusters: (1*1)/(1+1) * ||ci-cj||^2
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
@@ -411,7 +417,7 @@ def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> 
     if clustering.n_points != n:
         raise ValueError("clustering does not match dataset size")
     if dist is None:
-        dist = pairwise_distances(mat).entries
+        dist = pairwise_distances(mat)
 
     assign = np.asarray(clustering.assignments)
     onehot = np.zeros((n, k))
@@ -441,6 +447,11 @@ def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> 
 # unknown-K search
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _single_cluster(n: int) -> Clustering:
     return Clustering(assignments=tuple([0] * n), num_clusters=1)
 
@@ -457,6 +468,7 @@ def estimate_clustering(
     silhouette score fails to improve ``patience`` times in a row or k reaches
     the number of points. If even the best score is below ``min_silhouette``
     (overlapping clusters), all points are placed in a single cluster.
+    The chosen clustering keeps its silhouette report.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
@@ -465,9 +477,16 @@ def estimate_clustering(
     if algorithm not in ("ward", "kmeans"):
         raise ValueError(f"unsupported algorithm for K search: {algorithm!r}")
 
+    # float64 n x n arrays held at the peak: the distances, plus Ward's cost matrix for Ward
+    needed, available = (2 if algorithm == "ward" else 1) * n * n * 8, _physical_memory()
+    if needed > available:
+        raise ValueError(
+            f"clustering n={n} points needs {needed / 2**30:.1f} GiB for its n x n matrices, "
+            f"more than the {available / 2**30:.1f} GiB of physical memory"
+        )
     kmax = n if config.max_clusters is None else min(config.max_clusters, n)
-    dist = pairwise_distances(mat).entries
-    tree = ward_tree(mat) if algorithm == "ward" else None
+    dist = pairwise_distances(mat)
+    tree = ward_tree(mat, dist=dist) if algorithm == "ward" else None
 
     best_score = -np.inf
     best: Clustering | None = None
@@ -477,10 +496,9 @@ def estimate_clustering(
             candidate = tree.cut(k)
         else:
             candidate = kmeans(mat, k, seed=seed)
-        score = silhouette(mat, candidate, dist=dist).score
-        if score > best_score:
-            best_score = score
-            best = candidate
+        report = silhouette(mat, candidate, dist=dist)
+        if report.score > best_score:
+            best_score, best = report.score, replace(candidate, silhouette=report)
             misses = 0
         else:
             misses += 1

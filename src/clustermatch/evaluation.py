@@ -31,20 +31,8 @@ class ContingencyTable:
         if any(c < 0 for row in self.counts for c in row):
             raise ValueError("negative count in contingency table")
 
-    @property
-    def total(self) -> int:
-        return sum(sum(r) for r in self.counts)
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=np.float64)
-
-    def transposed(self) -> "ContingencyTable":
-        arr = list(zip(*self.counts))
-        return ContingencyTable(
-            counts=tuple(tuple(int(x) for x in row) for row in arr),
-            classes=tuple(str(k) for k in self.clusters),
-            clusters=tuple(range(len(self.classes))),
-        )
 
 
 @dataclass(frozen=True)

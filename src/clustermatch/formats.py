@@ -294,5 +294,8 @@ def read_face_labels(path: str | Path) -> list[tuple[str, int | None, str]]:
         if len(fields) != 3:
             raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
         face_id, frame, label = fields
-        out.append((face_id, int(frame) if frame else None, label))
+        try:
+            out.append((face_id, int(frame) if frame else None, label))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: bad frame index {frame!r}") from None
     return out

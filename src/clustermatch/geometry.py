@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,30 +94,18 @@ def centroid(members: Sequence[Vector] | np.ndarray) -> np.ndarray:
     return mat.mean(axis=0)
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric matrix of pairwise Euclidean distances."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        e = self.entries
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"distance matrix must be square, got {e.shape}")
-
-    @property
-    def n_points(self) -> int:
-        return self.entries.shape[0]
-
-
-def pairwise_distances(data: np.ndarray) -> DistanceMatrix:
-    """All-pairs Euclidean distances for an (n, d) matrix; diagonal exactly zero."""
+def pairwise_distances(data: np.ndarray) -> np.ndarray:
+    """All-pairs Euclidean distances for an (n, d) matrix, as a symmetric (n, n) array
+    with an exactly zero diagonal. At most two n x n arrays are alive at once."""
     mat = as_matrix(data)
     sq = np.sum(mat**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T)
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
-    # symmetrize away dot-product rounding noise
-    d = 0.5 * (d + d.T)
-    np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(entries=d)
+    d = np.add.outer(sq, sq)
+    buf = mat @ mat.T
+    buf *= 2.0
+    d -= buf
+    np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+    # symmetrize away dot-product rounding noise, reusing the Gram matrix's buffer
+    np.add(d, d.T, out=buf)
+    buf *= 0.5
+    np.fill_diagonal(buf, 0.0)
+    return buf

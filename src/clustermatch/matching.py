@@ -142,14 +142,15 @@ def best_silhouette_members(data, clustering: Clustering) -> list[int]:
     """Per cluster, the index of the member that stands in for it as the best-silhouette sample.
 
     With >= 2 clusters this is the member with the highest silhouette
-    coefficient, from one silhouette computation over the whole clustering; with
-    a single cluster (silhouette undefined) it is the member nearest the
-    centroid. Ties break on the lowest point index.
+    coefficient, from the clustering's silhouette report (computed here when it
+    has none); with a single cluster (silhouette undefined) it is the member
+    nearest the centroid. Ties break on the lowest point index.
     """
     mat = as_matrix(data)
     if clustering.num_clusters < 2:
         return [int(np.argmin(np.linalg.norm(mat - mat.mean(axis=0), axis=1)))]
-    coeffs = np.asarray(silhouette(mat, clustering).coefficients)
+    report = clustering.silhouette or silhouette(mat, clustering)
+    coeffs = np.asarray(report.coefficients)
     assign = np.asarray(clustering.assignments)
     # by cluster, then by descending coefficient; the sort is stable, so ties keep index order
     order = np.lexsort((-coeffs, assign))

@@ -2,7 +2,7 @@
 the faces of a frame-tagged embedding set against it."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .clustering import (
     Clustering,
@@ -11,6 +11,7 @@ from .clustering import (
     agglomerative_ward,
     estimate_clustering,
     kmeans,
+    silhouette,
 )
 from .geometry import as_matrix
 from .matching import (
@@ -37,17 +38,22 @@ def run_clustering(
     ksearch: KSearchConfig = KSearchConfig(),
     seed: int = 0,
 ) -> Clustering:
-    """Cluster an embedding set with a fixed k, or search for k when k is None."""
+    """Cluster an embedding set with a fixed k, or search for k when k is None;
+    a clustering of two or more clusters comes back with its silhouette report."""
     mat = as_matrix(embeddings)
     if algorithm == "affinity_propagation":
-        return affinity_propagation(mat)
-    if k is None:
+        clustering = affinity_propagation(mat)
+    elif k is None:
         return estimate_clustering(mat, algorithm=algorithm, config=ksearch, seed=seed)
-    if algorithm == "ward":
-        return agglomerative_ward(mat, k)
-    if algorithm == "kmeans":
-        return kmeans(mat, k, seed=seed)
-    raise ValueError(f"unknown clustering algorithm {algorithm!r}")
+    elif algorithm == "ward":
+        clustering = agglomerative_ward(mat, k)
+    elif algorithm == "kmeans":
+        clustering = kmeans(mat, k, seed=seed)
+    else:
+        raise ValueError(f"unknown clustering algorithm {algorithm!r}")
+    if clustering.num_clusters < 2:
+        return clustering
+    return replace(clustering, silhouette=silhouette(mat, clustering))
 
 
 def build_labeled_store(
@@ -68,7 +74,7 @@ def build_labeled_store(
     if not embeddings:
         raise ValueError("cannot build a store from an empty embedding set")
     mat = as_matrix(embeddings)
-    clustering = run_clustering(embeddings, algorithm=algorithm, k=k, ksearch=ksearch, seed=seed)
+    clustering = run_clustering(mat, algorithm=algorithm, k=k, ksearch=ksearch, seed=seed)
     reps = _representatives(mat, clustering)
 
     entries = []
@@ -139,7 +145,7 @@ def recognize(
     if mat.shape[1] != store.dimension:
         raise ValueError(f"video dimension {mat.shape[1]} != store dimension {store.dimension}")
 
-    clustering = estimate_clustering(mat, algorithm=algorithm, config=ksearch, seed=seed)
+    clustering = run_clustering(mat, algorithm=algorithm, ksearch=ksearch, seed=seed)
     # with one cluster the silhouette is undefined and the query falls back to its centroid
     reps = None
     if match_config.cluster_embedding_method == BEST_SILHOUETTE and clustering.num_clusters >= 2:

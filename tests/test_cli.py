@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import sys
 
 import pytest
 
+from clustermatch import clustering as clustering_module
 from clustermatch.cli import main
-from clustermatch.formats import read_embeddings, read_face_labels
+from clustermatch.clustering import WardTree
+from clustermatch.formats import read_embeddings, read_face_labels, write_embeddings
 
 SYNTH = [
     "synth",
@@ -212,3 +216,73 @@ class TestErrorHandling:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             run(["frobnicate"])
+
+    def test_label_file_with_bad_frame(self, tmp_path, capsys):
+        labels = tmp_path / "l.tsv"
+        labels.write_text("#labels v1\na\t0\talice\nb\tx\talice\n")
+        assert run(["timeline", "--labels", labels, "--out", tmp_path / "s.tsv"]) == 1
+        self.assert_one_error_line(capsys, "l.tsv:3", "'x'")
+
+    def test_timeline_needs_frames(self, tmp_path, capsys):
+        labels = tmp_path / "l.tsv"
+        labels.write_text("#labels v1\na\t\talice\n")
+        assert run(["timeline", "--labels", labels, "--out", tmp_path / "s.tsv"]) == 1
+        self.assert_one_error_line(capsys, "face a has no frame index")
+
+    def test_vmeasure_needs_true_labels(self, emb, tmp_path, capsys):
+        unlabelled = tmp_path / "unlabelled.emb"
+        write_embeddings([dataclasses.replace(e, true_label=None) for e in read_embeddings(emb)], unlabelled)
+        clustering = tmp_path / "cl.json"
+        assert run(["cluster", "--in", unlabelled, "--auto-k", "--out", clustering]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--mode", "vmeasure", "--in", unlabelled, "--clustering", clustering]) == 1
+        self.assert_one_error_line(capsys, "has no true label")
+
+    def test_run_too_large_for_memory(self, emb, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 1 << 10)
+        capsys.readouterr()
+        assert run(["cluster", "--in", emb, "--auto-k", "--out", tmp_path / "cl.json"]) == 1
+        self.assert_one_error_line(capsys, "n=50", "GiB")
+        assert not (tmp_path / "cl.json").exists()
+
+
+class TestOneDistanceMatrixPerRun:
+    """A K-search run computes one distance matrix and one silhouette per k tried, and no more."""
+
+    def count(self, monkeypatch, owner, attr):
+        """Count calls to owner.attr, rebinding a function under its name in every clustermatch module."""
+        original = getattr(owner, attr)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, attr, counted)
+        for name, module in list(sys.modules.items()):
+            if (name == "clustermatch" or name.startswith("clustermatch.")) and vars(module).get(attr) is original:
+                monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--in", "{emb}", "--auto-k", "--out", "{out}"],
+            ["label", "--in", "{emb}", "--auto-k", "--out", "{out}"],
+            ["match", "--in", "{emb}", "--store", "{store}", "--embedding-method", "silhouette", "--out", "{out}"],
+        ],
+        ids=["cluster", "label", "match"],
+    )
+    def test_calls(self, argv, tmp_path, monkeypatch):
+        emb, store = tmp_path / "faces.emb", tmp_path / "store.json"
+        run(SYNTH + ["--out", emb])
+        assert run(["label", "--in", emb, "--auto-k", "--out", store]) == 0
+        pairwise = self.count(monkeypatch, clustering_module, "pairwise_distances")
+        scored = self.count(monkeypatch, clustering_module, "silhouette")
+        cuts = self.count(monkeypatch, WardTree, "cut")
+        paths = {"emb": emb, "store": store, "out": tmp_path / "out"}
+        assert run([a.format(**paths) for a in argv]) == 0
+        assert len(pairwise) == 1
+        assert len(cuts) > 1  # one Ward cut per k tried
+        assert len(scored) == len(cuts)

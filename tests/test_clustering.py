@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clustermatch import clustering as clustering_module
 from clustermatch.clustering import (
     Clustering,
     KSearchConfig,
@@ -175,6 +176,15 @@ class TestWard:
         data = rng.normal(size=(20, 2))
         assert agglomerative_ward(data, 4).assignments == agglomerative_ward(data, 4).assignments
 
+    def test_given_distances_give_the_same_tree(self):
+        rng = np.random.default_rng(14)
+        data = rng.normal(size=(40, 5))
+        dist = pairwise_distances(data)
+        before = dist.copy()
+        given = ward_tree(data, dist=dist)
+        assert given.merges == ward_tree(data).merges  # WardMerge equality compares the float costs exactly
+        assert np.array_equal(dist, before)
+
 
 class TestSilhouette:
     def test_hand_computed_1d_example(self):
@@ -277,6 +287,56 @@ class TestEstimateClustering:
         with pytest.raises(ValueError):
             estimate_clustering(np.zeros((4, 2)), "dbscan")
 
+    @pytest.mark.parametrize("algorithm", ["ward", "kmeans"])
+    def test_chosen_clustering_carries_its_silhouette_report(self, algorithm):
+        rng = np.random.default_rng(36)
+        centers = np.array([[0, 0, 0], [20, 0, 0], [0, 20, 0]], dtype=float)
+        data = np.vstack([c + rng.normal(0, 1, size=(8, 3)) for c in centers])
+        cl = estimate_clustering(data, algorithm, seed=2)
+        assert cl.num_clusters == 3
+        fresh = silhouette(data, cl)
+        assert cl.silhouette.coefficients == fresh.coefficients
+        assert cl.silhouette.intra == fresh.intra
+        assert cl.silhouette.nearest == fresh.nearest
+        assert cl.silhouette.score == fresh.score
+        bare = Clustering(assignments=cl.assignments, num_clusters=cl.num_clusters)
+        assert bare.silhouette is None
+        assert cl == bare and hash(cl) == hash(bare) and repr(cl) == repr(bare)
+
+    def test_collapsed_clustering_has_no_silhouette_report(self):
+        data = np.random.default_rng(32).normal(0, 1, size=(20, 32))
+        assert estimate_clustering(data, "ward").silhouette is None
+        assert estimate_clustering(np.zeros((1, 4)), "ward").silhouette is None
+
+
+class TestMemoryCheck:
+    """The K search refuses, before allocating, a run whose n x n matrices exceed physical memory."""
+
+    @pytest.fixture
+    def data(self):
+        return np.random.default_rng(37).normal(size=(10, 2))
+
+    def test_too_large_run_fails_before_any_distance_matrix(self, data, monkeypatch):
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 2 * 10 * 10 * 8 - 1)
+
+        def no_matrix(_):
+            raise AssertionError("distance matrix allocated before the memory check")
+
+        monkeypatch.setattr(clustering_module, "pairwise_distances", no_matrix)
+        with pytest.raises(ValueError, match=r"n=10 points needs 0\.0 GiB"):
+            estimate_clustering(data, "ward")
+
+    def test_counts_two_matrices_for_ward_and_one_for_kmeans(self, data, monkeypatch):
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 10 * 10 * 8)
+        with pytest.raises(ValueError):
+            estimate_clustering(data, "ward")
+        assert estimate_clustering(data, "kmeans").n_points == 10
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 2 * 10 * 10 * 8)
+        assert estimate_clustering(data, "ward").n_points == 10
+
+    def test_probe_reads_this_machine(self):
+        assert clustering_module._physical_memory() > 0
+
 
 class TestKSearchConfig:
     def test_validation(self):
@@ -290,7 +350,7 @@ def test_silhouette_score_matches_recomputation_from_distances():
     rng = np.random.default_rng(41)
     data = rng.normal(size=(25, 3))
     cl = agglomerative_ward(data, 4)
-    dist = pairwise_distances(data).entries
+    dist = pairwise_distances(data)
     direct = silhouette(data, cl)
     via_dist = silhouette(data, cl, dist=dist)
     assert direct.score == pytest.approx(via_dist.score, abs=1e-12)

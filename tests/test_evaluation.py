@@ -91,9 +91,10 @@ class TestVMeasure:
             assert r.v == pytest.approx(v, abs=1e-9)
 
     def test_transpose_swaps_h_and_c(self):
-        t = contingency(["A", "A", "B", "B", "C"], [0, 0, 0, 1, 1])
-        r = v_measure(t)
-        rt = v_measure(t.transposed())
+        classes, clusters = ["A", "A", "B", "B", "C"], [0, 0, 0, 1, 1]
+        r = v_measure(contingency(classes, clusters))
+        # the same faces with the roles of class and cluster swapped
+        rt = v_measure(contingency([str(c) for c in clusters], ["ABC".index(c) for c in classes]))
         assert rt.homogeneity == pytest.approx(r.completeness, abs=1e-12)
         assert rt.completeness == pytest.approx(r.homogeneity, abs=1e-12)
 

@@ -238,3 +238,9 @@ class TestFaceLabelFile:
         path.write_text("a\t0\talice\n")
         with pytest.raises(FormatError):
             read_face_labels(path)
+
+    def test_bad_frame_names_line(self, tmp_path):
+        path = tmp_path / "l.tsv"
+        path.write_text("#labels v1\na\t0\talice\nb\tx\talice\n")
+        with pytest.raises(FormatError, match=r"l\.tsv:3: bad frame index 'x'"):
+            read_face_labels(path)

@@ -117,7 +117,7 @@ class TestPairwiseDistances:
     def test_diagonal_and_symmetry(self):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(12, 4))
-        d = pairwise_distances(mat).entries
+        d = pairwise_distances(mat)
         assert np.all(np.diag(d) == 0.0)
         assert np.array_equal(d, d.T)
         assert np.all(d >= 0)
@@ -125,14 +125,14 @@ class TestPairwiseDistances:
     def test_triangle_inequality_sampled(self):
         rng = np.random.default_rng(4)
         mat = rng.normal(size=(10, 3))
-        d = pairwise_distances(mat).entries
+        d = pairwise_distances(mat)
         for i, j, k in rng.integers(0, 10, size=(50, 3)):
             assert d[i, k] <= d[i, j] + d[j, k] + 1e-9
 
     def test_matches_direct_computation(self):
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(8, 5))
-        d = pairwise_distances(mat).entries
+        d = pairwise_distances(mat)
         for i in range(8):
             for j in range(8):
                 assert d[i, j] == pytest.approx(euclidean_distance(mat[i], mat[j]), abs=1e-9)

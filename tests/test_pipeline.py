@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from clustermatch.clustering import KSearchConfig
+from clustermatch.clustering import KSearchConfig, silhouette
 from clustermatch.formats import read_store, write_store
 from clustermatch.geometry import Embedding
 from clustermatch.matching import BEST_SILHOUETTE, MatchConfig
-from clustermatch.pipeline import NON_REGISTERED, build_labeled_store, recognize
+from clustermatch.pipeline import NON_REGISTERED, build_labeled_store, recognize, run_clustering
 from clustermatch.synth import SynthConfig, generate_synthetic, sample_more
 
 
@@ -24,6 +24,17 @@ def small_world():
     )
     store = build_labeled_store(ds.registered(), algorithm="ward", k=None)
     return ds, store
+
+
+@pytest.mark.parametrize(
+    "algorithm,k", [("ward", None), ("kmeans", None), ("ward", 3), ("kmeans", 3), ("affinity_propagation", None)]
+)
+def test_run_clustering_attaches_the_silhouette_report(small_world, algorithm, k):
+    ds, _ = small_world
+    mat = np.asarray([e.vector for e in ds.embeddings])
+    cl = run_clustering(mat, algorithm=algorithm, k=k)
+    assert cl.num_clusters >= 2
+    assert cl.silhouette == silhouette(mat, cl)
 
 
 class TestBuildLabeledStore:
