@@ -283,32 +283,66 @@ class WardMerge:
     cost: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class WardTree:
-    """Full agglomerative merge sequence; can be cut at any k without re-clustering."""
+    """Full agglomerative merge sequence; can be cut at any k without re-clustering.
+
+    Node ids follow the usual linkage convention: points are nodes 0..n-1 and
+    merge t creates node n + t. The linkage fields are derived from ``merges``:
+    ``children[t]`` holds merge t's two nodes, ``sizes`` the point count of every
+    node, and ``order`` a dendrogram leaf order in which every node's points
+    are the contiguous slice ``order[starts[v]:starts[v] + sizes[v]]``.
+    """
 
     n_points: int
-    merges: list[WardMerge] = field(default_factory=list)
+    merges: tuple[WardMerge, ...]
+    children: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.n_points
+        children = np.empty((n - 1, 2), dtype=np.intp)
+        sizes = np.ones(2 * n - 1, dtype=np.intp)
+        node_of = list(range(n))  # the node that currently holds each cluster representative
+        for t, merge in enumerate(self.merges):
+            a, b = node_of[merge.rep_a], node_of[merge.rep_b]
+            children[t] = a, b
+            sizes[n + t] = sizes[a] + sizes[b]
+            node_of[merge.rep_a] = n + t
+        starts = np.zeros_like(sizes)
+        for t in range(n - 2, -1, -1):  # parents before their children
+            a, b = children[t]
+            starts[a] = starts[n + t]
+            starts[b] = starts[n + t] + sizes[a]
+        order = np.empty(n, dtype=np.intp)
+        order[starts[:n]] = np.arange(n)
+        for name, value in (("children", children), ("sizes", sizes), ("starts", starts), ("order", order)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def points(self, node: int) -> np.ndarray:
+        """The points under ``node``, as a slice of the leaf order."""
+        return self.order[self.starts[node] : self.starts[node] + self.sizes[node]]
 
     def cut(self, k: int) -> Clustering:
-        if not 1 <= k <= self.n_points:
-            raise ValueError(f"k={k} out of range [1, {self.n_points}]")
-        parent = list(range(self.n_points))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for merge in self.merges[: self.n_points - k]:
-            ra, rb = find(merge.rep_a), find(merge.rep_b)
-            keep, drop = min(ra, rb), max(ra, rb)
-            parent[drop] = keep
-        roots = [find(i) for i in range(self.n_points)]
-        labels, m = _relabel(np.asarray(roots))
-        assert m == k
-        return Clustering(assignments=labels, num_clusters=k)
+        """The k clusters left after the first n - k merges, numbered by their smallest point."""
+        n = self.n_points
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} out of range [1, {n}]")
+        done = n - k
+        # the clusters are the nodes that exist after `done` merges (points, and nodes below
+        # n + done) that no merge so far has taken in: the root, or a child of a later merge
+        nodes = np.append(self.children[done:].ravel(), 2 * n - 2)
+        nodes = nodes[nodes < n + done]
+        nodes = nodes[np.argsort(self.starts[nodes])]
+        first = np.minimum.reduceat(self.order, self.starts[nodes])
+        labels = np.empty(k, dtype=np.intp)
+        labels[np.argsort(first)] = np.arange(k)
+        assignments = np.empty(n, dtype=np.intp)
+        assignments[self.order] = np.repeat(labels, self.sizes[nodes])
+        return Clustering(assignments=tuple(assignments.tolist()), num_clusters=k)
 
 
 def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
@@ -322,9 +356,9 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
     """
     mat = as_matrix(data)
     n = mat.shape[0]
-    tree = WardTree(n_points=n)
+    merges: list[WardMerge] = []
     if n == 1:
-        return tree
+        return WardTree(n_points=1, merges=())
 
     if dist is None:
         dist = pairwise_distances(mat)
@@ -352,7 +386,7 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
         assert best is not None
         _, i, j = best
 
-        tree.merges.append(
+        merges.append(
             WardMerge(rep_a=int(min(reps[i], reps[j])), rep_b=int(max(reps[i], reps[j])), cost=float(D[i, j]))
         )
 
@@ -386,20 +420,41 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
             rowmin[r] = D[r].min()
             rowarg[r] = D[r].argmin()
 
-    return tree
+    return WardTree(n_points=n, merges=tuple(merges))
 
 
-def agglomerative_ward(data, k: int) -> Clustering:
-    """Agglomerative clustering with the Ward minimum-variance criterion, cut at k clusters."""
+def agglomerative_ward(data, k: int, dist: np.ndarray | None = None) -> Clustering:
+    """Agglomerative clustering with the Ward minimum-variance criterion, cut at k clusters.
+    ``dist`` is the data's ``pairwise_distances``, computed here when not given."""
     mat = as_matrix(data)
     n = mat.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
-    return ward_tree(mat).cut(k)
+    return ward_tree(mat, dist=dist).cut(k)
 
 
 # ---------------------------------------------------------------------------
 # silhouette
+
+
+def _coefficients(sums: np.ndarray, counts: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Silhouette coefficients s and their a and b, from per-cluster distance sums.
+
+    ``sums[c, i]`` is the total distance from point i to the members of cluster
+    c, ``counts[c]`` the size of cluster c and ``own[i]`` the cluster of point i.
+    """
+    points = np.arange(own.shape[0])
+    own_count = counts[own]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.where(own_count > 1, sums[own, points] / np.maximum(own_count - 1, 1), 0.0)
+        mean_to = sums / counts[:, None]
+    mean_to[own, points] = np.inf
+    b = mean_to.min(axis=0)
+
+    denom = np.maximum(a, b)
+    s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
+    s = np.where(own_count > 1, s, 0.0)  # singleton convention
+    return s, a, b
 
 
 def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> SilhouetteReport:
@@ -423,18 +478,7 @@ def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> 
     onehot = np.zeros((n, k))
     onehot[np.arange(n), assign] = 1.0
     sums = dist @ onehot  # sums[i, c] = total distance from i to cluster c
-    counts = onehot.sum(axis=0)
-
-    own_count = counts[assign]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(own_count > 1, sums[np.arange(n), assign] / np.maximum(own_count - 1, 1), 0.0)
-        mean_to = sums / counts[None, :]
-    mean_to[np.arange(n), assign] = np.inf
-    b = mean_to.min(axis=1)
-
-    denom = np.maximum(a, b)
-    s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
-    s = np.where(own_count > 1, s, 0.0)  # singleton convention
+    s, a, b = _coefficients(sums.T, onehot.sum(axis=0), assign)
     return SilhouetteReport(
         coefficients=tuple(float(x) for x in s),
         intra=tuple(float(x) for x in a),
@@ -452,8 +496,68 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def checked_distances(data, algorithm: str) -> np.ndarray:
+    """``pairwise_distances`` of the data, after checking that the float64 n x n
+    arrays ``algorithm`` holds at its peak fit in physical memory: the
+    distances, plus the cost matrix for Ward."""
+    mat = as_matrix(data)
+    n = mat.shape[0]
+    needed, available = (2 if algorithm == "ward" else 1) * n * n * 8, _physical_memory()
+    if needed > available:
+        raise ValueError(
+            f"clustering n={n} points needs {needed / 2**30:.1f} GiB for its n x n matrices, "
+            f"more than the {available / 2**30:.1f} GiB of physical memory"
+        )
+    return pairwise_distances(mat)
+
+
 def _single_cluster(n: int) -> Clustering:
     return Clustering(assignments=tuple([0] * n), num_clusters=1)
+
+
+# rows of the distance matrix the Ward sweep gathers at a time, which bounds its temporaries
+_SWEEP_BLOCK = 256
+
+
+def _distance_sums(dist: np.ndarray, points: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the sum of dist[j, i] over j in ``points``."""
+    np.sum(dist[points[:_SWEEP_BLOCK]], axis=0, out=out)
+    for start in range(_SWEEP_BLOCK, len(points), _SWEEP_BLOCK):
+        out += dist[points[start : start + _SWEEP_BLOCK]].sum(axis=0)
+
+
+def _ward_sweep(tree: WardTree, dist: np.ndarray, kmax: int):
+    """Yield (k, score, None) for k = 2..kmax, where score is the silhouette
+    score of ``tree.cut(k)`` up to rounding.
+
+    Going from k - 1 to k clusters undoes merge n - k. Both of its children get
+    their distance sums straight from ``dist``, so every sum adds only
+    non-negative terms: it is within a relative n*eps of the sum ``silhouette``
+    takes, and an exact zero stays zero.
+    """
+    n = tree.n_points
+    sums = np.empty((kmax, n))  # sums[c, i]: distance from point i to cluster c; rows past k stay untouched
+    counts = np.empty(kmax)
+    own = np.zeros(n, dtype=np.intp)
+    row_of = {2 * n - 2: 0}  # the sums row of each current cluster's node
+    for k in range(2, kmax + 1):
+        split, added = row_of.pop(2 * n - k), k - 1
+        for node, row in zip(tree.children[n - k].tolist(), (split, added)):
+            points = tree.points(node)
+            _distance_sums(dist, points, sums[row])
+            counts[row] = len(points)
+            row_of[node] = row
+        own[points] = added
+        s, _, _ = _coefficients(sums[:k], counts[:k], own)
+        yield k, float(s.mean()), None
+
+
+def _kmeans_candidates(mat: np.ndarray, dist: np.ndarray, kmax: int, seed: int):
+    """Yield (k, score, clustering) for k = 2..kmax: k-means at each k with its exact silhouette."""
+    for k in range(2, kmax + 1):
+        clustering = kmeans(mat, k, seed=seed)
+        report = silhouette(mat, clustering, dist=dist)
+        yield k, report.score, replace(clustering, silhouette=report)
 
 
 def estimate_clustering(
@@ -469,6 +573,11 @@ def estimate_clustering(
     the number of points. If even the best score is below ``min_silhouette``
     (overlapping clusters), all points are placed in a single cluster.
     The chosen clustering keeps its silhouette report.
+
+    k-means clusters and scores every k. Ward scores every k in one sweep down
+    its tree; a comparison the sweep's rounding could flip is decided again on
+    exact ``silhouette`` scores, and the winner is cut and scored exactly, so
+    both give the choices and the report of an exact search.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
@@ -477,34 +586,45 @@ def estimate_clustering(
     if algorithm not in ("ward", "kmeans"):
         raise ValueError(f"unsupported algorithm for K search: {algorithm!r}")
 
-    # float64 n x n arrays held at the peak: the distances, plus Ward's cost matrix for Ward
-    needed, available = (2 if algorithm == "ward" else 1) * n * n * 8, _physical_memory()
-    if needed > available:
-        raise ValueError(
-            f"clustering n={n} points needs {needed / 2**30:.1f} GiB for its n x n matrices, "
-            f"more than the {available / 2**30:.1f} GiB of physical memory"
-        )
     kmax = n if config.max_clusters is None else min(config.max_clusters, n)
-    dist = pairwise_distances(mat)
-    tree = ward_tree(mat, dist=dist) if algorithm == "ward" else None
+    dist = checked_distances(mat, algorithm)
+    if algorithm == "ward":
+        tree = ward_tree(mat, dist=dist)
+        candidates = _ward_sweep(tree, dist, kmax)
+        # A sweep score and silhouette's score of one cut differ by rounding alone:
+        # the two sums of n non-negative terms agree to a relative n*eps, which
+        # moves a coefficient by at most ~2n*eps, a mean by ~3n*eps and the
+        # difference of two scores by ~12n*eps.
+        tolerance = 32 * n * np.finfo(np.float64).eps
 
-    best_score = -np.inf
-    best: Clustering | None = None
+        def exact(k: int) -> Clustering:
+            cut = tree.cut(k)
+            return replace(cut, silhouette=silhouette(mat, cut, dist=dist))
+
+    else:
+        candidates = _kmeans_candidates(mat, dist, kmax, seed)  # exact scores, each with its clustering
+
+    best_k, best_score, best = None, -np.inf, None  # best: the exact winner, once known
     misses = 0
-    for k in range(2, kmax + 1):
-        if tree is not None:
-            candidate = tree.cut(k)
+    for k, score, current in candidates:
+        if current is None and abs(score - best_score) <= tolerance:  # a sweep score too close to call
+            current = exact(k)
+            best = best if best is not None else exact(best_k)
+            better = current.silhouette.score > best.silhouette.score
         else:
-            candidate = kmeans(mat, k, seed=seed)
-        report = silhouette(mat, candidate, dist=dist)
-        if report.score > best_score:
-            best_score, best = report.score, replace(candidate, silhouette=report)
+            better = score > best_score
+        if better:
+            best_k, best_score, best = k, score, current
             misses = 0
         else:
             misses += 1
             if misses >= config.patience:
                 break
 
-    if best is None or best_score < config.min_silhouette:
+    if best_k is None:
+        return _single_cluster(n)
+    if best is None:
+        best = exact(best_k)
+    if best.silhouette.score < config.min_silhouette:
         return _single_cluster(n)
     return best

@@ -9,6 +9,7 @@ from .clustering import (
     KSearchConfig,
     affinity_propagation,
     agglomerative_ward,
+    checked_distances,
     estimate_clustering,
     kmeans,
     silhouette,
@@ -41,19 +42,22 @@ def run_clustering(
     """Cluster an embedding set with a fixed k, or search for k when k is None;
     a clustering of two or more clusters comes back with its silhouette report."""
     mat = as_matrix(embeddings)
+    dist = None
     if algorithm == "affinity_propagation":
         clustering = affinity_propagation(mat)
     elif k is None:
         return estimate_clustering(mat, algorithm=algorithm, config=ksearch, seed=seed)
     elif algorithm == "ward":
-        clustering = agglomerative_ward(mat, k)
+        dist = checked_distances(mat, algorithm)
+        clustering = agglomerative_ward(mat, k, dist=dist)
     elif algorithm == "kmeans":
+        dist = checked_distances(mat, algorithm)
         clustering = kmeans(mat, k, seed=seed)
     else:
         raise ValueError(f"unknown clustering algorithm {algorithm!r}")
     if clustering.num_clusters < 2:
         return clustering
-    return replace(clustering, silhouette=silhouette(mat, clustering))
+    return replace(clustering, silhouette=silhouette(mat, clustering, dist=dist))
 
 
 def build_labeled_store(

@@ -1,12 +1,18 @@
 """Independent brute-force reference implementations used to check the library.
 
 These deliberately avoid the library's code paths (plain Python loops and
-math.log instead of numpy) so a shared bug cannot hide.
+math.log instead of numpy) so a shared bug cannot hide. The last two are the
+direct forms of faster library code: a union-find cut of a Ward tree, and the
+Ward K search that cuts and scores every k on its own.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
+
+from clustermatch.clustering import Clustering, KSearchConfig, silhouette, ward_tree
+from clustermatch.geometry import as_matrix, pairwise_distances
 
 
 def brute_v_measure(true_labels, assignments, beta=1.0):
@@ -85,3 +91,49 @@ def brute_silhouette(points, assignments):
 def brute_softmax(values):
     total = sum(math.exp(v) for v in values)
     return [math.exp(v) / total for v in values]
+
+
+def union_find_cut(tree, k):
+    """Assignments after the first n - k merges of a Ward tree, joining merge
+    representatives with union-find and numbering clusters by first appearance."""
+    n = tree.n_points
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for merge in tree.merges[: n - k]:
+        ra, rb = find(merge.rep_a), find(merge.rep_b)
+        parent[max(ra, rb)] = min(ra, rb)
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(find(i), len(labels)) for i in range(n))
+
+
+def per_k_ward_search(data, config=KSearchConfig()):
+    """The Ward K search one k at a time: a union-find cut and a fresh silhouette
+    per k, the running best under patience, and the collapse to one cluster
+    when the best score is below min_silhouette."""
+    mat = as_matrix(data)
+    n = mat.shape[0]
+    single = Clustering(assignments=(0,) * n, num_clusters=1)
+    if n == 1:
+        return single
+    kmax = n if config.max_clusters is None else min(config.max_clusters, n)
+    dist = pairwise_distances(mat)
+    tree = ward_tree(mat, dist=dist)
+    best_score, best, misses = -math.inf, None, 0
+    for k in range(2, kmax + 1):
+        candidate = Clustering(assignments=union_find_cut(tree, k), num_clusters=k)
+        report = silhouette(mat, candidate, dist=dist)
+        if report.score > best_score:
+            best_score, best, misses = report.score, replace(candidate, silhouette=report), 0
+        else:
+            misses += 1
+            if misses >= config.patience:
+                break
+    if best is None or best_score < config.min_silhouette:
+        return single
+    return best

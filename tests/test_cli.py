@@ -247,7 +247,7 @@ class TestErrorHandling:
 
 
 class TestOneDistanceMatrixPerRun:
-    """A K-search run computes one distance matrix and one silhouette per k tried, and no more."""
+    """A clustering run computes one distance matrix, and on this world one Ward cut and one silhouette."""
 
     def count(self, monkeypatch, owner, attr):
         """Count calls to owner.attr, rebinding a function under its name in every clustermatch module."""
@@ -271,8 +271,10 @@ class TestOneDistanceMatrixPerRun:
             ["cluster", "--in", "{emb}", "--auto-k", "--out", "{out}"],
             ["label", "--in", "{emb}", "--auto-k", "--out", "{out}"],
             ["match", "--in", "{emb}", "--store", "{store}", "--embedding-method", "silhouette", "--out", "{out}"],
+            ["cluster", "--in", "{emb}", "--k", "3", "--out", "{out}"],
+            ["label", "--in", "{emb}", "--k", "3", "--out", "{out}"],
         ],
-        ids=["cluster", "label", "match"],
+        ids=["cluster", "label", "match", "cluster-k3", "label-k3"],
     )
     def test_calls(self, argv, tmp_path, monkeypatch):
         emb, store = tmp_path / "faces.emb", tmp_path / "store.json"
@@ -284,5 +286,4 @@ class TestOneDistanceMatrixPerRun:
         paths = {"emb": emb, "store": store, "out": tmp_path / "out"}
         assert run([a.format(**paths) for a in argv]) == 0
         assert len(pairwise) == 1
-        assert len(cuts) > 1  # one Ward cut per k tried
-        assert len(scored) == len(cuts)
+        assert len(cuts) == len(scored) == 1

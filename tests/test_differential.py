@@ -1,12 +1,16 @@
-"""The vectorised matching path against per-entry and per-cluster references."""
+"""Fast paths against direct references: vectorised matching against per-entry
+and per-cluster scoring, and the Ward K search against a cut and a silhouette per k."""
 import numpy as np
 import pytest
 
-from clustermatch.clustering import silhouette
+from clustermatch import clustering as clustering_module
+from clustermatch.clustering import KSearchConfig, estimate_clustering, silhouette, ward_tree
 from clustermatch.matching import BEST_SILHOUETTE, CENTROID, MatchConfig, match_cluster, similarity
 from clustermatch.pipeline import build_labeled_store, recognize, run_clustering
 from clustermatch.synth import SynthConfig, generate_synthetic, sample_more
 
+from . import oracles
+from .oracles import per_k_ward_search, union_find_cut
 from .test_acceptance import harness, query_clusters  # noqa: F401  (harness is a fixture)
 
 
@@ -68,3 +72,127 @@ def test_store_keeps_each_clusters_best_silhouette_member(world):
     picks = reference_best_members(mat, clustering)
     assert [e.best_silhouette_id for e in store.entries] == [registered[i].id for i in picks]
     assert [e.best_silhouette_vector for e in store.entries] == [registered[i].vector for i in picks]
+
+
+def blobs(seed, n, k, d):
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(size=(k, d))
+    return centres[rng.integers(0, k, size=n)] + rng.normal(0, 0.05, size=(n, d))
+
+
+def integer_grid():
+    """Points on a 4 x 4 integer grid, most of them repeated: tied distances and tied scores."""
+    return np.random.default_rng(3).integers(0, 4, size=(40, 2)).astype(float)
+
+
+# name -> (data, a max_clusters below the number of clusters the data has)
+K_SEARCH_CASES = {
+    "blobs-2000": (lambda: blobs(7, 2000, 16, 8), 15),
+    **{f"blobs-300-seed{seed}": (lambda seed=seed: blobs(seed, 300, 12, 8), 11) for seed in (1, 2, 3)},
+    "integer-grid": (integer_grid, 4),
+    "regular-grid": (lambda: np.indices((5, 5, 5)).reshape(3, -1).T.astype(float), 4),
+    "duplicated": (lambda: np.repeat(blobs(5, 80, 6, 4), 3, axis=0), 5),
+    "noise": (lambda: np.random.default_rng(6).normal(size=(200, 32)), 3),
+}
+
+
+def k_search_configs(cap):
+    return (
+        KSearchConfig(patience=1),
+        KSearchConfig(patience=5),
+        KSearchConfig(max_clusters=cap),
+        KSearchConfig(min_silhouette=0.0),
+    )
+
+
+@pytest.fixture
+def shared_ward_trees(monkeypatch):
+    """Build each dataset's Ward tree once for both searches: the search, not the tree, is compared here."""
+    trees = {}
+
+    def cached(data, dist=None):
+        mat = np.asarray(data)
+        key = (mat.shape, mat.tobytes())
+        if key not in trees:
+            trees[key] = ward_tree(mat, dist=dist)
+        return trees[key]
+
+    monkeypatch.setattr(clustering_module, "ward_tree", cached)
+    monkeypatch.setattr(oracles, "ward_tree", cached)
+
+
+@pytest.mark.parametrize("name", list(K_SEARCH_CASES))
+def test_ward_k_search_equals_per_k_search(name, shared_ward_trees):
+    build, cap = K_SEARCH_CASES[name]
+    data = build()
+    for config in k_search_configs(cap):
+        got, want = estimate_clustering(data, "ward", config), per_k_ward_search(data, config)
+        assert got == want
+        assert got.silhouette == want.silhouette
+        if name == "noise" and config.min_silhouette > 0:
+            assert got.num_clusters == 1  # the best score is below 0.2
+
+
+def test_close_scores_are_redecided_exactly(monkeypatch):
+    data = integer_grid()
+    original = clustering_module.silhouette
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(clustering_module, "silhouette", counted)
+    for config in (KSearchConfig(patience=1), KSearchConfig(patience=5)):
+        calls.clear()
+        got, want = estimate_clustering(data, "ward", config), per_k_ward_search(data, config)
+        assert got == want and got.silhouette == want.silhouette
+        assert len(calls) > 1  # the winner, plus at least one comparison re-decided on exact scores
+
+
+def test_rounding_sized_errors_in_sweep_scores_change_no_decision(monkeypatch):
+    """Sweep scores pushed down by 2*n*eps at even k and n*eps at odd k, no more than rounding
+    could move them, still give the exact search's choices (here k = 15 ties k = 14 and must
+    not win); the exact score decides the collapse."""
+    data = integer_grid()
+    shift = data.shape[0] * np.finfo(np.float64).eps
+    sweep = clustering_module._ward_sweep
+
+    def skewed(tree, dist, kmax):
+        for k, score, clustering in sweep(tree, dist, kmax):
+            yield k, score - (2 - k % 2) * shift, clustering
+
+    monkeypatch.setattr(clustering_module, "_ward_sweep", skewed)
+    winner = per_k_ward_search(data, KSearchConfig(min_silhouette=0.0)).silhouette.score
+    for config in (KSearchConfig(patience=1), KSearchConfig(patience=5), KSearchConfig(min_silhouette=winner)):
+        got, want = estimate_clustering(data, "ward", config), per_k_ward_search(data, config)
+        assert got == want and got.silhouette == want.silhouette
+    assert got.num_clusters > 1  # a best score equal to min_silhouette does not collapse
+
+
+@pytest.mark.parametrize("name", ["integer-grid", "duplicated", "blobs-300-seed1"])
+def test_sweep_scores_are_within_rounding_of_silhouette(name):
+    """The premise of the re-decision tolerance (32*n*eps on a difference of two scores)."""
+    data = K_SEARCH_CASES[name][0]()
+    n = data.shape[0]
+    dist = clustering_module.pairwise_distances(data)
+    tree = ward_tree(data, dist=dist)
+    for k, score, _ in clustering_module._ward_sweep(tree, dist, min(n, 40)):
+        assert abs(score - silhouette(data, tree.cut(k), dist=dist).score) <= 3 * n * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.random.default_rng(8).normal(size=(200, 3)),
+        np.indices((6, 6, 5)).reshape(3, -1).T.astype(float),
+        np.repeat(np.random.default_rng(9).normal(size=(60, 2)), 3, axis=0),
+    ],
+    ids=["random", "grid", "duplicated"],
+)
+def test_range_cut_equals_union_find_cut(data):
+    tree = ward_tree(data)
+    for k in range(1, tree.n_points + 1):
+        cut = tree.cut(k)
+        assert cut.num_clusters == k
+        assert cut.assignments == union_find_cut(tree, k)
