@@ -362,63 +362,55 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
 
     if dist is None:
         dist = pairwise_distances(mat)
-    # D[i, j] = Ward merge cost between active clusters i and j
+    # D[a, b] = Ward merge cost between live clusters a and b; only the rows and
+    # columns of live clusters are kept up to date, the rest are never read again
     D = dist * dist
     D *= 0.5  # size-1 clusters: (1*1)/(1+1) * ||ci-cj||^2
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    reps = np.arange(n)
+    # live clusters in ascending order; a merge keeps the lower index, so a
+    # cluster's index is its representative
+    act = np.arange(n)
 
-    # per-row nearest-neighbor cache so each step avoids a full-matrix scan
+    # per-row nearest-neighbor cache over live columns, so each step avoids a full-matrix scan
     rowmin = D.min(axis=1)
     rowarg = D.argmin(axis=1)
 
     for _ in range(n - 1):
         mincost = rowmin.min()
-        best = None
-        for r in np.flatnonzero(rowmin == mincost):
-            for c in np.flatnonzero(D[r] == mincost):
-                a, b = (int(r), int(c)) if r < c else (int(c), int(r))
-                key = (min(reps[a], reps[b]), max(reps[a], reps[b]))
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        assert best is not None
-        _, i, j = best
-
-        merges.append(
-            WardMerge(rep_a=int(min(reps[i], reps[j])), rep_b=int(max(reps[i], reps[j])), cost=float(D[i, j]))
-        )
+        # both ends of every pair at mincost have it as their row minimum, so the
+        # smallest tied row is the pair's first index and its first tied partner the second
+        tied = np.flatnonzero(rowmin == mincost)
+        i, partners = int(tied[0]), tied[1:]
+        j = int(partners[D[i, partners] == mincost][0])
+        merges.append(WardMerge(rep_a=i, rep_b=j, cost=float(D[i, j])))
 
         ni, nj = sizes[i], sizes[j]
         # Lance-Williams update for Ward: cost(ij, k)
-        others = active.copy()
-        others[i] = others[j] = False
+        act = act[act != j]
+        others = act[act != i]
         nk = sizes[others]
         Dnew = ((ni + nk) * D[i, others] + (nj + nk) * D[j, others] - nk * D[i, j]) / (ni + nj + nk)
         D[i, others] = Dnew
         D[others, i] = Dnew
         sizes[i] = ni + nj
-        reps[i] = min(reps[i], reps[j])
-        active[j] = False
-        D[j, :] = np.inf
-        D[:, j] = np.inf
 
         # refresh the nearest-neighbor cache where the merge invalidated it
         rowmin[j] = np.inf
-        rowmin[i] = D[i].min()
-        rowarg[i] = D[i].argmin()
-        rows = np.flatnonzero(active)
-        rows = rows[rows != i]
-        improved = D[rows, i] <= rowmin[rows]
-        took = rows[improved]
-        rowmin[took] = D[took, i]
+        if others.size == 0:
+            break
+        rowmin[i] = Dnew.min()
+        rowarg[i] = others[Dnew.argmin()]
+        improved = Dnew <= rowmin[others]
+        took = others[improved]
+        rowmin[took] = Dnew[improved]
         rowarg[took] = i
-        stale = rows[~improved]
+        stale = others[~improved]
         stale = stale[(rowarg[stale] == i) | (rowarg[stale] == j)]
         for r in stale:
-            rowmin[r] = D[r].min()
-            rowarg[r] = D[r].argmin()
+            row = D[r, act]
+            rowmin[r] = row.min()
+            rowarg[r] = act[row.argmin()]
 
     return WardTree(n_points=n, merges=tuple(merges))
 

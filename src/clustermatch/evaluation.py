@@ -7,6 +7,7 @@ F1 / exact-frame scoring for frame-tagged video output.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,8 @@ def v_measure(table: ContingencyTable, beta: float = 1.0) -> VMeasureReport:
     do not depend on the base. A single class forces h = 1 and a single
     cluster forces c = 1 (the respective normalizing entropies vanish).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     a = table.as_array()
     n = a.sum()
     if n <= 0:

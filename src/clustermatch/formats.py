@@ -34,17 +34,21 @@ def _fmt_float(x: float) -> str:
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
-    """Write through a temporary file of its own in the target's directory, then rename it."""
+    """Write through a temporary file of its own in the target's directory, then rename it.
+    A failure is reported against the target path: the temporary name is random."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.chmod(tmp, 0o666 & ~_UMASK)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(text)
+            os.chmod(tmp, 0o666 & ~_UMASK)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _read_json_object(path: str | Path) -> dict:

@@ -9,6 +9,9 @@ import numpy as np
 
 Vector = Sequence[float]
 
+# edge of the square tiles in which pairwise_distances adds a matrix to its transpose
+SYMMETRIZE_TILE = 256
+
 
 @dataclass(frozen=True)
 class Embedding:
@@ -104,8 +107,13 @@ def pairwise_distances(data: np.ndarray) -> np.ndarray:
     buf *= 2.0
     d -= buf
     np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-    # symmetrize away dot-product rounding noise, reusing the Gram matrix's buffer
-    np.add(d, d.T, out=buf)
+    # symmetrize away dot-product rounding noise, reusing the Gram matrix's buffer;
+    # square tiles keep the transposed reads in cache
+    n = d.shape[0]
+    for r in range(0, n, SYMMETRIZE_TILE):
+        for c in range(0, n, SYMMETRIZE_TILE):
+            rows, cols = slice(r, r + SYMMETRIZE_TILE), slice(c, c + SYMMETRIZE_TILE)
+            np.add(d[rows, cols], d[cols, rows].T, out=buf[rows, cols])
     buf *= 0.5
     np.fill_diagonal(buf, 0.0)
     return buf

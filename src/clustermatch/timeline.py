@@ -1,6 +1,7 @@
 """Timeline segments: maximal constant-identity frame runs with times derived from fps."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 DEFAULT_FPS = 1.0
@@ -27,8 +28,8 @@ def emit_timeline(tagged_frames, fps: float = DEFAULT_FPS) -> list[TimelineSegme
     A gap in the frame sequence splits a run. Times are frame_index / fps.
     Output is sorted by (first_frame, identity) for stable files.
     """
-    if fps <= 0:
-        raise ValueError("fps must be positive")
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be positive and finite, got {fps}")
     frames_by_identity: dict[str, set[int]] = {}
     for identity, frame_index in tagged_frames:
         if frame_index is None:

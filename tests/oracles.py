@@ -1,9 +1,11 @@
 """Independent brute-force reference implementations used to check the library.
 
 These deliberately avoid the library's code paths (plain Python loops and
-math.log instead of numpy) so a shared bug cannot hide. The last two are the
-direct forms of faster library code: a union-find cut of a Ward tree, and the
-Ward K search that cuts and scores every k on its own.
+math.log instead of numpy) so a shared bug cannot hide. The last four are the
+direct forms of faster library code: a union-find cut of a Ward tree, the
+Ward K search that cuts and scores every k on its own, the greedy Ward loop
+that keeps every row and column of its cost matrix current, and the distance
+matrix symmetrised in one whole-matrix pass.
 """
 from __future__ import annotations
 
@@ -11,7 +13,9 @@ import math
 from collections import Counter
 from dataclasses import replace
 
-from clustermatch.clustering import Clustering, KSearchConfig, silhouette, ward_tree
+import numpy as np
+
+from clustermatch.clustering import Clustering, KSearchConfig, WardMerge, silhouette, ward_tree
 from clustermatch.geometry import as_matrix, pairwise_distances
 
 
@@ -137,3 +141,79 @@ def per_k_ward_search(data, config=KSearchConfig()):
     if best is None or best_score < config.min_silhouette:
         return single
     return best
+
+
+def greedy_ward_merges(dist):
+    """Ward merges from a distance matrix by the greedy Lance-Williams loop that
+    marks merged-away rows and columns infinite and rescans whole rows for ties.
+    Ties break on the lexicographically smallest (min rep, max rep) pair."""
+    n = dist.shape[0]
+    merges = []
+    if n == 1:
+        return ()
+    D = dist * dist
+    D *= 0.5
+    np.fill_diagonal(D, np.inf)
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    reps = np.arange(n)
+    rowmin = D.min(axis=1)
+    rowarg = D.argmin(axis=1)
+
+    for _ in range(n - 1):
+        mincost = rowmin.min()
+        best = None
+        for r in np.flatnonzero(rowmin == mincost):
+            for c in np.flatnonzero(D[r] == mincost):
+                a, b = (int(r), int(c)) if r < c else (int(c), int(r))
+                key = (min(reps[a], reps[b]), max(reps[a], reps[b]))
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        _, i, j = best
+        merges.append(
+            WardMerge(rep_a=int(min(reps[i], reps[j])), rep_b=int(max(reps[i], reps[j])), cost=float(D[i, j]))
+        )
+
+        ni, nj = sizes[i], sizes[j]
+        others = active.copy()
+        others[i] = others[j] = False
+        nk = sizes[others]
+        Dnew = ((ni + nk) * D[i, others] + (nj + nk) * D[j, others] - nk * D[i, j]) / (ni + nj + nk)
+        D[i, others] = Dnew
+        D[others, i] = Dnew
+        sizes[i] = ni + nj
+        reps[i] = min(reps[i], reps[j])
+        active[j] = False
+        D[j, :] = np.inf
+        D[:, j] = np.inf
+
+        rowmin[j] = np.inf
+        rowmin[i] = D[i].min()
+        rowarg[i] = D[i].argmin()
+        rows = np.flatnonzero(active)
+        rows = rows[rows != i]
+        improved = D[rows, i] <= rowmin[rows]
+        took = rows[improved]
+        rowmin[took] = D[took, i]
+        rowarg[took] = i
+        stale = rows[~improved]
+        stale = stale[(rowarg[stale] == i) | (rowarg[stale] == j)]
+        for r in stale:
+            rowmin[r] = D[r].min()
+            rowarg[r] = D[r].argmin()
+    return tuple(merges)
+
+
+def untiled_pairwise_distances(data):
+    """``pairwise_distances`` with the transpose added in one whole-matrix pass."""
+    mat = as_matrix(data)
+    sq = np.sum(mat**2, axis=1)
+    d = np.add.outer(sq, sq)
+    buf = mat @ mat.T
+    buf *= 2.0
+    d -= buf
+    np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+    np.add(d, d.T, out=buf)
+    buf *= 0.5
+    np.fill_diagonal(buf, 0.0)
+    return buf

@@ -238,6 +238,33 @@ class TestErrorHandling:
         assert run(["evaluate", "--mode", "vmeasure", "--in", unlabelled, "--clustering", clustering]) == 1
         self.assert_one_error_line(capsys, "has no true label")
 
+    @pytest.mark.parametrize("fps", ["nan", "inf"])
+    def test_timeline_rejects_non_finite_fps(self, tmp_path, capsys, fps):
+        labels = tmp_path / "l.tsv"
+        labels.write_text("#labels v1\na\t0\talice\nb\t1\talice\n")
+        out = tmp_path / "s.tsv"
+        assert run(["timeline", "--labels", labels, "--fps", fps, "--out", out]) == 1
+        self.assert_one_error_line(capsys, "fps", fps)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_vmeasure_rejects_non_finite_beta(self, emb, tmp_path, capsys, beta):
+        clustering, report = tmp_path / "cl.json", tmp_path / "vm.json"
+        assert run(["cluster", "--in", emb, "--auto-k", "--out", clustering]) == 0
+        capsys.readouterr()
+        argv = ["evaluate", "--mode", "vmeasure", "--in", emb, "--clustering", clustering, "--beta", beta]
+        assert run(argv + ["--out", report]) == 1
+        self.assert_one_error_line(capsys, "beta", beta)
+        assert not report.exists()
+
+    def test_unwritable_output_names_the_target(self, emb, tmp_path, capsys):
+        target = tmp_path / "missing" / "c.json"
+        capsys.readouterr()
+        assert run(["cluster", "--in", emb, "--auto-k", "--out", target]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [f"error: [Errno 2] No such file or directory: '{target}'"]
+        assert ".tmp" not in err
+
     def test_run_too_large_for_memory(self, emb, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 1 << 10)
         capsys.readouterr()

@@ -1,16 +1,19 @@
 """Fast paths against direct references: vectorised matching against per-entry
-and per-cluster scoring, and the Ward K search against a cut and a silhouette per k."""
+and per-cluster scoring, the Ward K search against a cut and a silhouette per k,
+the live-row Ward loop against the whole-matrix greedy loop, and the tiled
+distance matrix against the untiled one."""
 import numpy as np
 import pytest
 
 from clustermatch import clustering as clustering_module
 from clustermatch.clustering import KSearchConfig, estimate_clustering, silhouette, ward_tree
+from clustermatch.geometry import pairwise_distances
 from clustermatch.matching import BEST_SILHOUETTE, CENTROID, MatchConfig, match_cluster, similarity
 from clustermatch.pipeline import build_labeled_store, recognize, run_clustering
 from clustermatch.synth import SynthConfig, generate_synthetic, sample_more
 
 from . import oracles
-from .oracles import per_k_ward_search, union_find_cut
+from .oracles import greedy_ward_merges, per_k_ward_search, union_find_cut, untiled_pairwise_distances
 from .test_acceptance import harness, query_clusters  # noqa: F401  (harness is a fixture)
 
 
@@ -196,3 +199,39 @@ def test_range_cut_equals_union_find_cut(data):
         cut = tree.cut(k)
         assert cut.num_clusters == k
         assert cut.assignments == union_find_cut(tree, k)
+
+
+WARD_TREE_CASES = {
+    "integer-grid": integer_grid,
+    "integer-grid-3d": lambda: np.random.default_rng(4).integers(0, 5, size=(200, 3)).astype(float),
+    "regular-grid": lambda: np.indices((6, 6, 6)).reshape(3, -1).T.astype(float),
+    "triplicated": lambda: np.repeat(np.random.default_rng(9).normal(size=(60, 3)), 3, axis=0),
+    "shifted-gaussians": lambda: blobs(11, 300, 8, 6) + 1e3,
+    "all-equal": lambda: np.ones((25, 4)),
+    "one-point": lambda: np.zeros((1, 3)),
+    "two-points": lambda: np.array([[0.0, 1.0], [2.0, 3.0]]),
+    "blobs-2000": lambda: blobs(12, 2000, 20, 16),
+}
+
+
+@pytest.mark.parametrize("name", list(WARD_TREE_CASES))
+def test_ward_tree_equals_greedy_loop(name):
+    """Same merges in the same order with bit-equal costs (== on the float costs)."""
+    data = WARD_TREE_CASES[name]()
+    dist = pairwise_distances(data)
+    assert ward_tree(data, dist=dist).merges == greedy_ward_merges(dist)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+def test_tiled_distances_equal_untiled(n, offset):
+    data = np.random.default_rng(n).normal(size=(n, 8)) + offset
+    assert np.array_equal(pairwise_distances(data), untiled_pairwise_distances(data))
+
+
+def test_ward_heights_equal_scipy():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    data = np.random.default_rng(13).normal(size=(300, 6))
+    costs = sorted(merge.cost for merge in ward_tree(data).merges)
+    heights = hierarchy.ward(data)[:, 2]
+    assert np.sqrt(2 * np.asarray(costs)) == pytest.approx(np.sort(heights), rel=1e-12)
