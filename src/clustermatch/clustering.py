@@ -47,6 +47,13 @@ class Clustering:
     def members(self, cluster: int) -> list[int]:
         return [i for i, a in enumerate(self.assignments) if a == cluster]
 
+    def member_groups(self) -> list[np.ndarray]:
+        """Every cluster's member indices in ascending order, from one stable sort of the assignments."""
+        assign = np.asarray(self.assignments)
+        order = np.argsort(assign, kind="stable")
+        bounds = np.searchsorted(assign[order], np.arange(self.num_clusters + 1))
+        return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
 
 @dataclass(frozen=True)
 class KSearchConfig:

@@ -9,12 +9,15 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .clustering import Clustering
 from .geometry import Embedding
-from .matching import LabeledCluster, LabeledClusterSet
+from .matching import LabeledClusterSet
 
 EMBEDDING_HEADER_PREFIX = "#emb v1 dim="
 STORE_VERSION = 1
@@ -87,8 +90,11 @@ def _strings(value) -> tuple[str, ...]:
     return tuple(_string(x) for x in _list(value))
 
 
-def _floats(value) -> tuple[float, ...]:
-    return tuple(float(x) for x in _list(value))
+def _numbers(value) -> list:
+    for component, x in enumerate(_list(value)):
+        if type(x) not in _NUMBER_TYPES:
+            raise TypeError(f"component {component} is {type(x).__name__}, expected a number")
+    return value
 
 
 def _histogram(value) -> dict[str, int]:
@@ -97,14 +103,10 @@ def _histogram(value) -> dict[str, int]:
     return {k: int(v) for k, v in value.items()}
 
 
-# required keys of a store entry and their parsers; label_histogram is optional
-_STORE_ENTRY_FIELDS = (
-    ("label", _string),
-    ("member_ids", _strings),
-    ("centroid", _floats),
-    ("best_silhouette_id", _string),
-    ("best_silhouette_vector", _floats),
-)
+# required keys of a store entry; label_histogram is optional
+_STORE_ENTRY_KEYS = ("label", "member_ids", "centroid", "best_silhouette_id", "best_silhouette_vector")
+# JSON numbers parse to these; bool, a subclass of int, is not one of them
+_NUMBER_TYPES = frozenset({float, int})
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +200,65 @@ def write_store(
         "metadata": metadata or {},
         "entries": [
             {
-                "label": e.label,
-                "member_ids": list(e.member_ids),
-                "centroid": list(e.centroid),
-                "best_silhouette_id": e.best_silhouette_id,
-                "best_silhouette_vector": list(e.best_silhouette_vector),
-                "label_histogram": dict(sorted(e.label_histogram.items())),
+                "label": label,
+                "member_ids": list(member_ids),
+                "centroid": centroid,
+                "best_silhouette_id": best_id,
+                "best_silhouette_vector": best_vector,
+                "label_histogram": dict(sorted(histogram.items())),
             }
-            for e in store.entries
+            for label, member_ids, centroid, best_id, best_vector, histogram in zip(
+                store.labels,
+                store.member_ids,
+                store.centroids.tolist(),
+                store.best_silhouette_ids,
+                store.best_silhouette_vectors.tolist(),
+                store.histograms,
+            )
         ],
     }
     _atomic_write(path, json.dumps(doc, indent=1) + "\n")
+
+
+def _column(path: str | Path, entries: list[dict], key: str, valid, convert) -> list:
+    """Every entry's value for ``key``. ``valid`` checks the whole column at once;
+    when it fails, ``convert`` runs per entry and names the first bad one."""
+    values = [e[key] for e in entries]
+    if valid(values):
+        return values
+    return [_field(path, f"entry {index}", e, key, convert) for index, e in enumerate(entries)]
+
+
+def _all_strings(values) -> bool:
+    return set(map(type, values)) <= {str}
+
+
+def _all_string_lists(values) -> bool:
+    return all(type(v) is list for v in values) and _all_strings(chain.from_iterable(values))
+
+
+def _all_number_lists(values) -> bool:
+    return all(type(v) is list for v in values) and set(map(type, chain.from_iterable(values))) <= _NUMBER_TYPES
+
+
+def _matrix(path: str | Path, entries: list[dict], key: str, dimension: int) -> np.ndarray:
+    """The (S, dimension) float64 matrix of every entry's ``key`` vector, with no Python step per component."""
+    rows = _column(path, entries, key, _all_number_lists, _numbers)
+    for index, row in enumerate(rows):
+        if len(row) != dimension:
+            raise FormatError(
+                f"{path}: entry {index}: cluster embedding dimensions disagree: "
+                f"{key!r} has {len(row)} components, the store has dimension {dimension}"
+            )
+    try:
+        return np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
+    except OverflowError:  # an integer beyond the float range: find its entry
+        for index, row in enumerate(rows):
+            try:
+                np.array(row, dtype=np.float64)
+            except OverflowError as exc:
+                raise FormatError(f"{path}: entry {index}: bad value for {key!r} ({exc})") from None
+        raise
 
 
 def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
@@ -219,20 +269,26 @@ def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
     if doc.get("version") != STORE_VERSION:
         raise FormatError(f"{path}: unsupported store version {doc.get('version')!r}")
     dimension = _field(path, "top level", doc, "dimension", int)
-    entries = []
-    for index, e in enumerate(_field(path, "top level", doc, "entries", _list)):
-        where = f"entry {index}"
+    entries = _field(path, "top level", doc, "entries", _list)
+    for index, e in enumerate(entries):
         if not isinstance(e, dict):
-            raise FormatError(f"{path}: {where}: expected a JSON object, got {type(e).__name__}")
-        fields = {key: _field(path, where, e, key, convert) for key, convert in _STORE_ENTRY_FIELDS}
-        if "label_histogram" in e:
-            fields["label_histogram"] = _field(path, where, e, "label_histogram", _histogram)
-        try:
-            entries.append(LabeledCluster(**fields))
-        except ValueError as exc:
-            raise FormatError(f"{path}: {where}: {exc}") from None
+            raise FormatError(f"{path}: entry {index}: expected a JSON object, got {type(e).__name__}")
+        for key in _STORE_ENTRY_KEYS:
+            if key not in e:
+                raise FormatError(f"{path}: entry {index}: missing key {key!r}")
+    columns = dict(
+        labels=_column(path, entries, "label", _all_strings, _string),
+        member_ids=_column(path, entries, "member_ids", _all_string_lists, _strings),
+        best_silhouette_ids=_column(path, entries, "best_silhouette_id", _all_strings, _string),
+        histograms=[
+            _field(path, f"entry {index}", e, "label_histogram", _histogram) if "label_histogram" in e else {}
+            for index, e in enumerate(entries)
+        ],
+        centroids=_matrix(path, entries, "centroid", dimension),
+        best_silhouette_vectors=_matrix(path, entries, "best_silhouette_vector", dimension),
+    )
     try:
-        store = LabeledClusterSet(entries=tuple(entries), dimension=dimension)
+        store = LabeledClusterSet.from_arrays(**columns)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return store, doc.get("metadata", {})

@@ -21,7 +21,6 @@ class Embedding:
     vector: tuple[float, ...]
     video_id: str | None = None
     frame_index: int | None = None
-    bbox: tuple[int, int, int, int] | None = None
     true_label: str | None = None
 
     def __post_init__(self) -> None:
@@ -35,10 +34,6 @@ class Embedding:
         object.__setattr__(self, "vector", vec)
         if self.frame_index is not None and self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
-        if self.bbox is not None:
-            x1, y1, x2, y2 = self.bbox
-            if min(x1, y1, x2, y2) < 0 or x1 >= x2 or y1 >= y2:
-                raise ValueError(f"invalid bbox {self.bbox} for embedding {self.id!r}")
 
     @property
     def dim(self) -> int:

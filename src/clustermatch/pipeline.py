@@ -2,7 +2,10 @@
 the faces of a frame-tagged embedding set against it."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .clustering import (
     Clustering,
@@ -17,13 +20,13 @@ from .clustering import (
 from .geometry import as_matrix
 from .matching import (
     BEST_SILHOUETTE,
-    LabeledCluster,
     LabeledClusterSet,
     MatchConfig,
     MatchDecision,
     best_silhouette_members,
     majority_label,
-    match_cluster,
+    make_cluster_embedding,
+    match_clusters,
 )
 
 NON_REGISTERED = "non-registered"
@@ -79,40 +82,36 @@ def build_labeled_store(
         raise ValueError("cannot build a store from an empty embedding set")
     mat = as_matrix(embeddings)
     clustering = run_clustering(mat, algorithm=algorithm, k=k, ksearch=ksearch, seed=seed)
+    if cluster_labels is not None and len(cluster_labels) != clustering.num_clusters:
+        raise ValueError(f"got {len(cluster_labels)} labels for {clustering.num_clusters} clusters")
+    groups = clustering.member_groups()
     reps = _representatives(mat, clustering)
 
-    entries = []
-    for c in range(clustering.num_clusters):
-        members = clustering.members(c)
-        member_labels = [embeddings[i].true_label for i in members]
+    labels, member_ids, histograms = [], [], []
+    for c, members in enumerate(groups):
+        members = members.tolist()
         if cluster_labels is not None:
-            if len(cluster_labels) != clustering.num_clusters:
-                raise ValueError(
-                    f"got {len(cluster_labels)} labels for {clustering.num_clusters} clusters"
-                )
             label = cluster_labels[c]
             histogram = {label: len(members)}
         else:
+            member_labels = [embeddings[i].true_label for i in members]
             if any(lab is None for lab in member_labels):
                 raise ValueError(
                     "embeddings lack true labels; pass cluster_labels to label the clusters"
                 )
             label, _ = majority_label(member_labels)
-            histogram = {}
-            for lab in member_labels:
-                histogram[lab] = histogram.get(lab, 0) + 1
-        rep = reps[c]
-        entries.append(
-            LabeledCluster(
-                label=label,
-                member_ids=tuple(embeddings[i].id for i in members),
-                centroid=tuple(float(x) for x in mat[members].mean(axis=0)),
-                best_silhouette_id=embeddings[rep].id,
-                best_silhouette_vector=tuple(float(x) for x in mat[rep]),
-                label_histogram=histogram,
-            )
-        )
-    return LabeledClusterSet(entries=tuple(entries), dimension=mat.shape[1])
+            histogram = dict(Counter(member_labels))
+        labels.append(label)
+        member_ids.append(tuple(embeddings[i].id for i in members))
+        histograms.append(histogram)
+    return LabeledClusterSet.from_arrays(
+        labels=labels,
+        member_ids=member_ids,
+        best_silhouette_ids=[embeddings[r].id for r in reps],
+        histograms=histograms,
+        centroids=np.stack([mat[members].mean(axis=0) for members in groups]),
+        best_silhouette_vectors=mat[reps],
+    )
 
 
 @dataclass(frozen=True)
@@ -150,23 +149,22 @@ def recognize(
         raise ValueError(f"video dimension {mat.shape[1]} != store dimension {store.dimension}")
 
     clustering = run_clustering(mat, algorithm=algorithm, ksearch=ksearch, seed=seed)
+    groups = clustering.member_groups()
     # with one cluster the silhouette is undefined and the query falls back to its centroid
-    reps = None
     if match_config.cluster_embedding_method == BEST_SILHOUETTE and clustering.num_clusters >= 2:
-        reps = _representatives(mat, clustering)
-    outcomes = []
-    for c in range(clustering.num_clusters):
-        members = clustering.members(c)
-        query = mat[members] if reps is None else mat[[reps[c]]]
-        decision = match_cluster(query, store, match_config)
-        outcomes.append(
-            ClusterOutcome(
-                cluster_index=c,
-                member_ids=tuple(embeddings[i].id for i in members),
-                decision=decision,
-                label=decision.label if decision.matched else NON_REGISTERED,
-            )
+        queries = mat[_representatives(mat, clustering)]
+    else:
+        queries = np.stack([make_cluster_embedding(mat[members]) for members in groups])
+    decisions = match_clusters(queries, store, match_config)
+    outcomes = [
+        ClusterOutcome(
+            cluster_index=c,
+            member_ids=tuple(embeddings[i].id for i in members.tolist()),
+            decision=decision,
+            label=decision.label if decision.matched else NON_REGISTERED,
         )
+        for c, (members, decision) in enumerate(zip(groups, decisions))
+    ]
 
     by_cluster = {o.cluster_index: o.label for o in outcomes}
     face_labels = tuple(

@@ -1,22 +1,24 @@
 """Independent brute-force reference implementations used to check the library.
 
 These deliberately avoid the library's code paths (plain Python loops and
-math.log instead of numpy) so a shared bug cannot hide. The last four are the
+math.log instead of numpy) so a shared bug cannot hide. The last five are the
 direct forms of faster library code: a union-find cut of a Ward tree, the
 Ward K search that cuts and scores every k on its own, the greedy Ward loop
-that keeps every row and column of its cost matrix current, and the distance
-matrix symmetrised in one whole-matrix pass.
+that keeps every row and column of its cost matrix current, the distance
+matrix symmetrised in one whole-matrix pass, and the match of one query
+cluster that scores every store entry.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from clustermatch.clustering import Clustering, KSearchConfig, WardMerge, silhouette, ward_tree
 from clustermatch.geometry import as_matrix, pairwise_distances
+from clustermatch.matching import CENTROID, make_cluster_embedding, match_probabilities, truncate_top_alpha
 
 
 def brute_v_measure(true_labels, assignments, beta=1.0):
@@ -217,3 +219,39 @@ def untiled_pairwise_distances(data):
     buf *= 0.5
     np.fill_diagonal(buf, 0.0)
     return buf
+
+
+@dataclass(frozen=True)
+class FullMatch:
+    """One query cluster matched against every store entry: the length-S vectors and the decision."""
+
+    similarities: np.ndarray
+    truncated: np.ndarray
+    probabilities: np.ndarray
+    top_indices: tuple[int, ...]  # the entries the truncation kept, most similar first
+    matched: bool
+    label: str | None
+    cluster_index: int | None
+    probability: float | None
+
+
+def full_match(query_members, store, config) -> FullMatch:
+    """The matching chain for one query cluster, scoring every store entry: the direct form of ``match_clusters``."""
+    q = make_cluster_embedding(query_members)
+    stored = store.centroids if config.cluster_embedding_method == CENTROID else store.best_silhouette_vectors
+    rmses = np.sqrt(np.sum((stored - q) ** 2, axis=1) / store.dimension)
+    sims = 1.0 / np.maximum(rmses, config.rmse_epsilon)
+    trunc = truncate_top_alpha(sims, config.alpha)
+    probs = match_probabilities(trunc)
+    best = int(np.argmax(probs))
+    matched = bool(probs[best] > config.probability_threshold)
+    return FullMatch(
+        similarities=sims,
+        truncated=trunc,
+        probabilities=probs,
+        top_indices=tuple(np.argsort(-sims, kind="stable")[: config.alpha].tolist()),
+        matched=matched,
+        label=store.labels[best] if matched else None,
+        cluster_index=best if matched else None,
+        probability=float(probs[best]) if matched else None,
+    )

@@ -69,7 +69,7 @@ def sweep_metrics(ds, store, video, alpha: int, scale: float = 1.0):
     argmaxes = []
     for label, vectors, is_registered in query_clusters(ds, video):
         decision = match_cluster(vectors * scale, store, config)
-        argmaxes.append(max(decision.probabilities))
+        argmaxes.append(decision.p_max)
         if is_registered:
             entry = store.entries[decision.cluster_index] if decision.matched else None
             registered.append(

@@ -7,7 +7,7 @@ import pytest
 from clustermatch import clustering as clustering_module
 from clustermatch.cli import main
 from clustermatch.clustering import WardTree
-from clustermatch.formats import read_embeddings, read_face_labels, write_embeddings
+from clustermatch.formats import read_embeddings, read_face_labels, read_store, write_embeddings, write_store
 
 SYNTH = [
     "synth",
@@ -97,6 +97,13 @@ class TestFullPipeline:
             ]
         )
         return emb, sidecar, store
+
+    def test_label_store_round_trips_byte_for_byte(self, world, tmp_path):
+        _, _, store = world
+        copy = tmp_path / "copy.json"
+        loaded, metadata = read_store(store)
+        write_store(loaded, copy, metadata=metadata)
+        assert copy.read_bytes() == store.read_bytes()
 
     def test_match_flags_withheld_identities(self, world, tmp_path):
         emb, sidecar, store = world
@@ -197,6 +204,26 @@ class TestErrorHandling:
         capsys.readouterr()
         assert run(["match", "--in", emb, "--store", store, "--out", tmp_path / "l.tsv"]) == 1
         self.assert_one_error_line(capsys, "store.json", "entry 2", "'centroid'")
+
+    @pytest.mark.parametrize("key", ["centroid", "best_silhouette_vector"])
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), float("-inf"), None, [0.5, 0.5], "0.5", True, False, 10**400, "drop"],
+        ids=["nan", "inf", "-inf", "null", "nested-list", "string", "true", "false", "beyond-float", "wrong-length"],
+    )
+    def test_store_with_a_bad_vector(self, emb, tmp_path, capsys, key, bad):
+        store = tmp_path / "store.json"
+        assert run(["label", "--in", emb, "--auto-k", "--out", store]) == 0
+        doc = json.loads(store.read_text())
+        vector = doc["entries"][3][key]
+        if bad == "drop":
+            vector.pop()
+        else:
+            vector[5] = bad
+        store.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["match", "--in", emb, "--store", store, "--out", tmp_path / "l.tsv"]) == 1
+        self.assert_one_error_line(capsys, "store.json", "entry 3", repr(key))
 
     def test_store_top_level_list(self, emb, tmp_path, capsys):
         store = tmp_path / "store.json"

@@ -1,5 +1,6 @@
 """Fast paths against direct references: vectorised matching against per-entry
-and per-cluster scoring, the Ward K search against a cut and a silhouette per k,
+and per-cluster scoring, the screened batch match against scoring every entry,
+the Ward K search against a cut and a silhouette per k,
 the live-row Ward loop against the whole-matrix greedy loop, and the tiled
 distance matrix against the untiled one."""
 import numpy as np
@@ -8,12 +9,21 @@ import pytest
 from clustermatch import clustering as clustering_module
 from clustermatch.clustering import KSearchConfig, estimate_clustering, silhouette, ward_tree
 from clustermatch.geometry import pairwise_distances
-from clustermatch.matching import BEST_SILHOUETTE, CENTROID, MatchConfig, match_cluster, similarity
+from clustermatch import matching
+from clustermatch.matching import (
+    BEST_SILHOUETTE,
+    CENTROID,
+    LabeledClusterSet,
+    MatchConfig,
+    match_cluster,
+    match_clusters,
+    similarity,
+)
 from clustermatch.pipeline import build_labeled_store, recognize, run_clustering
 from clustermatch.synth import SynthConfig, generate_synthetic, sample_more
 
 from . import oracles
-from .oracles import greedy_ward_merges, per_k_ward_search, union_find_cut, untiled_pairwise_distances
+from .oracles import full_match, greedy_ward_merges, per_k_ward_search, union_find_cut, untiled_pairwise_distances
 from .test_acceptance import harness, query_clusters  # noqa: F401  (harness is a fixture)
 
 
@@ -27,6 +37,13 @@ def reference_best_members(mat, clustering):
     return out
 
 
+def assert_top_alpha_is_scalar(decision, similarities, alpha=5):
+    """The decision kept the alpha entries of highest scalar similarity (ties: lowest index), with those scores."""
+    top = sorted(range(len(similarities)), key=lambda i: -similarities[i])[:alpha]  # stable
+    assert decision.top_indices == tuple(top)
+    assert decision.top_similarities == tuple(similarities[i] for i in top)
+
+
 @pytest.mark.parametrize("method", [CENTROID, BEST_SILHOUETTE])
 def test_vectorised_similarities_equal_scalar_similarity(harness, method):  # noqa: F811
     ds, store, video = harness
@@ -34,8 +51,147 @@ def test_vectorised_similarities_equal_scalar_similarity(harness, method):  # no
     for _, vectors, _ in query_clusters(ds, video):
         decision = match_cluster(vectors, store, MatchConfig(cluster_embedding_method=method))
         q = vectors.mean(axis=0)
-        expected = tuple(similarity(q, getattr(e, vectors_of)) for e in store.entries)
-        assert decision.similarities == expected
+        assert_top_alpha_is_scalar(decision, [similarity(q, getattr(e, vectors_of)) for e in store.entries])
+
+
+def assert_same_match(decision, ref):
+    """A screened decision against the oracle that scores every entry: == throughout."""
+    top = list(ref.top_indices)
+    assert decision.top_indices == ref.top_indices
+    assert decision.top_similarities == tuple(ref.similarities[top].tolist())
+    assert decision.top_probabilities == tuple(ref.probabilities[top].tolist())
+    assert decision.p_max == ref.probabilities.max()
+    dropped = np.setdiff1d(np.arange(len(ref.probabilities)), top)
+    assert np.all(ref.probabilities[dropped] == decision.rest_probability)
+    got = (decision.matched, decision.label, decision.cluster_index, decision.probability)
+    assert got == (ref.matched, ref.label, ref.cluster_index, ref.probability)
+
+
+@pytest.mark.parametrize("alpha", [1, 5])
+@pytest.mark.parametrize("method", [CENTROID, BEST_SILHOUETTE])
+def test_batched_match_equals_full_match_on_harness(harness, method, alpha):  # noqa: F811
+    ds, store, video = harness
+    config = MatchConfig(alpha=alpha, cluster_embedding_method=method)
+    clusters = [vectors for _, vectors, _ in query_clusters(ds, video)]
+    decisions = match_clusters(np.stack([v.mean(axis=0) for v in clusters]), store, config)
+    assert len(decisions) == len(clusters)
+    for decision, vectors in zip(decisions, clusters):
+        assert_same_match(decision, full_match(vectors, store, config))
+
+
+def store_of(rows):
+    """A store whose entry i has row i as both vectors; labels and member ids are made up."""
+    size = len(rows)
+    return LabeledClusterSet.from_arrays(
+        labels=[f"p{i}" for i in range(size)],
+        member_ids=[(f"m{i}",) for i in range(size)],
+        best_silhouette_ids=[f"m{i}" for i in range(size)],
+        histograms=[{}] * size,
+        centroids=rows,
+        best_silhouette_vectors=rows,
+    )
+
+
+def random_store():
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(5000, 128))
+    picks = rng.choice(5000, size=10, replace=False)
+    queries = np.vstack([rows[picks] + rng.normal(0, 0.05, size=(10, 128)), rows[:3], rng.normal(size=(3, 128))])
+    return rows, queries
+
+
+def duplicated_at_boundary():
+    """Copies of one row spread over the store, so the alpha-th and later entries tie."""
+    rng = np.random.default_rng(22)
+    base = rng.normal(size=(40, 8))
+    copy = base[:1]
+    rows = np.vstack([base[1:10], copy, base[10:20], copy, copy, base[20:], copy, copy, copy])
+    queries = np.vstack([copy + 1e-3, copy, base[5] + 1e-3, (copy + base[5]) / 2])
+    return rows, queries
+
+
+def query_equals_row():
+    """Queries equal to stored rows, and rows within the RMSE clamp of them: tied 1 / rmse_epsilon scores."""
+    rng = np.random.default_rng(23)
+    rows = rng.normal(size=(50, 16))
+    rows[[5, 17, 30]] = rows[3]
+    rows[40] = rows[3]
+    rows[40, 0] += 1e-15  # RMSE ~2.5e-16: clamped, ties the exact copies
+    rows[41] = rows[3]
+    rows[41, 0] += 1e-11  # RMSE ~2.5e-12: just outside the clamp
+    return rows, rows[[3, 40, 41, 10]]
+
+
+def clamped_near_origin():
+    """Tiny vectors: a row within the clamp of the query sits below the query's exact copy,
+    further away than the screen's rounding slack, and must still tie with it."""
+    rng = np.random.default_rng(27)
+    rows = rng.normal(0, 1e-7, size=(50, 16))
+    rows[1] = rows[3]
+    rows[1, 0] += 1e-12  # RMSE 2.5e-13: clamped to rmse_epsilon
+    return rows, rows[[3, 1, 20]]
+
+
+def overflowing_norms():
+    """Squared norms overflow to inf, so the screen's Gram terms are inf or nan; the differences stay finite for a few rows."""
+    rng = np.random.default_rng(28)
+    rows = rng.normal(0, 1e160, size=(30, 4))
+    queries = rows[[2, 7]] * (1 + 1e-10)
+    rows[11] = rows[2] + 1e150
+    return rows, queries
+
+
+def integer_store():
+    rng = np.random.default_rng(24)
+    rows = rng.integers(0, 3, size=(300, 4)).astype(float)
+    queries = np.vstack([rng.integers(0, 3, size=(12, 4)), rng.integers(0, 6, size=(6, 4)) / 2]).astype(float)
+    return rows, queries
+
+
+def offset_blobs(offset):
+    def make():
+        rng = np.random.default_rng(25)
+        centres = rng.normal(size=(10, 8))
+        rows = centres[rng.integers(0, 10, size=400)] + rng.normal(0, 0.05, size=(400, 8))
+        queries = centres[rng.integers(0, 10, size=12)] + rng.normal(0, 0.05, size=(12, 8))
+        return rows + offset, queries + offset
+
+    return make
+
+
+MATCH_CASES = {
+    "random-5000x128": random_store,
+    "duplicated-at-boundary": duplicated_at_boundary,
+    "query-equals-row": query_equals_row,
+    "clamped-near-origin": clamped_near_origin,
+    "integer-grid": integer_store,
+    "overflowing-norms": overflowing_norms,
+    **{f"offset-{offset:.0e}": offset_blobs(offset) for offset in (1e3, 1e5, 1e8)},
+    "single-entry": lambda: (np.array([[0.5, -1.0, 2.0]]), np.random.default_rng(26).normal(size=(4, 3))),
+}
+
+
+ALPHAS = {"1": lambda size: 1, "2": lambda size: 2, "5": lambda size: 5, "S": lambda size: size, "S+1": lambda size: size + 1}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")  # overflowing-norms
+@pytest.mark.parametrize("alpha", list(ALPHAS))
+@pytest.mark.parametrize("name", list(MATCH_CASES))
+def test_batched_match_equals_full_match(name, alpha):
+    rows, queries = MATCH_CASES[name]()
+    store = store_of(rows)
+    config = MatchConfig(alpha=ALPHAS[alpha](len(store)))
+    decisions = match_clusters(queries, store, config)
+    assert len(decisions) == len(queries)
+    for decision, q in zip(decisions, queries):
+        assert_same_match(decision, full_match(q[np.newaxis], store, config))
+
+
+def test_screen_keeps_few_candidates():
+    """Exact similarities are computed only for the entries the screen cannot rule out."""
+    rows, queries = random_store()
+    kept = matching._screen(queries, rows, 5, MatchConfig().rmse_epsilon).sum(axis=1)
+    assert kept.min() >= 5 and kept.mean() <= 10, kept
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +218,8 @@ def test_recognize_picks_each_clusters_best_silhouette_member(world):
     assert res.clustering.num_clusters >= 2
     picks = reference_best_members(mat, res.clustering)
     for outcome, pick in zip(res.outcomes, picks):
-        expected = tuple(similarity(mat[pick], row) for row in store.best_silhouette_vectors)
-        assert outcome.decision.similarities == expected
+        expected = [similarity(mat[pick], row) for row in store.best_silhouette_vectors]
+        assert_top_alpha_is_scalar(outcome.decision, expected)
 
 
 def test_store_keeps_each_clusters_best_silhouette_member(world):

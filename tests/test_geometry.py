@@ -22,7 +22,7 @@ def vectors(dim):
 
 class TestEmbedding:
     def test_basic_fields(self):
-        e = Embedding(id="a", vector=(1.0, 2.0), video_id="v", frame_index=3, bbox=(0, 0, 4, 4))
+        e = Embedding(id="a", vector=(1.0, 2.0), video_id="v", frame_index=3)
         assert e.dim == 2
         assert e.frame_index == 3
 
@@ -33,10 +33,6 @@ class TestEmbedding:
     def test_rejects_empty_vector(self):
         with pytest.raises(ValueError):
             Embedding(id="a", vector=())
-
-    def test_rejects_bad_bbox(self):
-        with pytest.raises(ValueError):
-            Embedding(id="a", vector=(1.0,), bbox=(5, 0, 4, 4))
 
     def test_rejects_negative_frame(self):
         with pytest.raises(ValueError):

@@ -44,7 +44,20 @@ def make_store(centroids, labels=None, dim=None, silhouette_vectors=None):
 
 
 def similarities_to(query_vector, stored):
-    return tuple(similarity(query_vector, row) for row in stored)
+    return {i: similarity(query_vector, row) for i, row in enumerate(stored)}
+
+
+def kept_similarities(decision):
+    """Similarity by entry index, for the entries the truncation kept (every entry when alpha >= S)."""
+    return dict(zip(decision.top_indices, decision.top_similarities))
+
+
+def full_probabilities(decision):
+    """The length-S probability vector a decision describes: its top alpha and the shared rest value."""
+    p = [decision.rest_probability] * decision.store_size
+    for i, pi in zip(decision.top_indices, decision.top_probabilities):
+        p[i] = pi
+    return p
 
 
 class TestMakeClusterEmbedding:
@@ -55,13 +68,13 @@ class TestMakeClusterEmbedding:
     def test_centroid_midpoint(self):
         assert tuple(make_cluster_embedding(np.array([[0.0, 0], [2, 2]]))) == (1.0, 1.0)
         d = match_cluster(np.array([[0.0, 0], [2, 2]]), self.STORE, MatchConfig(cluster_embedding_method=CENTROID))
-        assert d.similarities == similarities_to((1.0, 1.0), self.STORE.centroids)
-        assert d.similarities[0] == 1e12  # exactly the stored centroid
+        assert kept_similarities(d) == similarities_to((1.0, 1.0), self.STORE.centroids)
+        assert kept_similarities(d)[0] == 1e12  # exactly the stored centroid
 
     def test_singleton_either_method(self):
         for method, stored in ((CENTROID, self.STORE.centroids), (BEST_SILHOUETTE, self.STORE.best_silhouette_vectors)):
             d = match_cluster(np.array([[3.0, 4.0]]), self.STORE, MatchConfig(cluster_embedding_method=method))
-            assert d.similarities == similarities_to((3.0, 4.0), stored)
+            assert kept_similarities(d) == similarities_to((3.0, 4.0), stored)
 
     def test_best_silhouette_picks_highest_coefficient(self):
         data = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -76,7 +89,7 @@ class TestMakeClusterEmbedding:
         video = [Embedding(id="a", vector=(0.0,)), Embedding(id="b", vector=(2.0,))]
         res = recognize(video, store, MatchConfig(cluster_embedding_method=BEST_SILHOUETTE))
         assert res.clustering.num_clusters == 1
-        assert res.outcomes[0].decision.similarities == similarities_to((1.0,), store.best_silhouette_vectors)
+        assert kept_similarities(res.outcomes[0].decision) == similarities_to((1.0,), store.best_silhouette_vectors)
 
     def test_empty_cluster_errors(self):
         with pytest.raises(ValueError):
@@ -205,7 +218,7 @@ class TestMatchCluster:
         store = make_store(pts)
         d = match_cluster(np.array([[0.0, 0.0]]), store, MatchConfig(alpha=5))
         assert not d.matched
-        assert d.probabilities == pytest.approx([0.25] * 4)
+        assert full_probabilities(d) == pytest.approx([0.25] * 4)
 
     def test_single_entry_store_always_matches(self):
         store = make_store([(0.0, 0.0)])
@@ -226,7 +239,7 @@ class TestMatchCluster:
         perm = [3, 1, 5, 0, 2, 4]
         store2 = make_store([centroids[i] for i in perm], labels=[f"person-{i}" for i in perm])
         d2 = match_cluster(query, store2, MatchConfig(alpha=3))
-        assert d2.probabilities == pytest.approx([d.probabilities[i] for i in perm], abs=1e-12)
+        assert full_probabilities(d2) == pytest.approx([full_probabilities(d)[i] for i in perm], abs=1e-12)
         assert d.label == d2.label
 
     def test_argmax_probability_non_increasing_in_alpha(self):
@@ -237,7 +250,7 @@ class TestMatchCluster:
         prev = math.inf
         for alpha in range(1, 13):
             d = match_cluster(query, store, MatchConfig(alpha=alpha))
-            top = max(d.probabilities)
+            top = d.p_max
             assert top <= prev + 1e-12
             prev = top
 

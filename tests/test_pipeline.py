@@ -136,9 +136,8 @@ class TestRecognize:
         reloaded, _ = read_store(path)
         via_file = recognize(video, reloaded)
         assert via_file.face_labels == direct.face_labels
-        assert [o.decision.probabilities for o in via_file.outcomes] == [
-            o.decision.probabilities for o in direct.outcomes
-        ]
+        # decisions compare every kept similarity and probability, p_max and the rest value
+        assert [o.decision for o in via_file.outcomes] == [o.decision for o in direct.outcomes]
 
     def test_silhouette_embedding_method(self, small_world):
         ds, store = small_world
