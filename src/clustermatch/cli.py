@@ -66,7 +66,7 @@ def cmd_label(args) -> int:
     embeddings = formats.read_embeddings(args.input)
     if args.exclude_labels_file:
         excluded = set(Path(args.exclude_labels_file).read_text(encoding="utf-8").split())
-        embeddings = [e for e in embeddings if e.true_label not in excluded]
+        embeddings = embeddings.select([label not in excluded for label in embeddings.true_labels])
     k = None if args.auto_k else args.k
     store = build_labeled_store(
         embeddings,
@@ -134,13 +134,13 @@ def cmd_evaluate(args) -> int:
         assignment_by_id, _ = formats.read_clustering(args.clustering)
         truth = []
         assigned = []
-        for e in embeddings:
-            if e.true_label is None:
-                raise ValueError(f"embedding {e.id} has no true label")
-            if e.id not in assignment_by_id:
-                raise ValueError(f"embedding {e.id} missing from clustering file")
-            truth.append(e.true_label)
-            assigned.append(assignment_by_id[e.id])
+        for face_id, label in zip(embeddings.ids, embeddings.true_labels):
+            if label is None:
+                raise ValueError(f"embedding {face_id} has no true label")
+            if face_id not in assignment_by_id:
+                raise ValueError(f"embedding {face_id} missing from clustering file")
+            truth.append(label)
+            assigned.append(assignment_by_id[face_id])
         report = v_measure(contingency(truth, assigned), beta=args.beta)
         out = {
             "homogeneity": report.homogeneity,
@@ -152,10 +152,10 @@ def cmd_evaluate(args) -> int:
         truth_emb = formats.read_embeddings(args.truth)
         predictions = formats.read_face_labels(args.pred)
         gt = []
-        for e in truth_emb:
-            if e.frame_index is None:
-                raise ValueError(f"embedding {e.id} has no frame index")
-            gt.append((e.frame_index, e.id, e.true_label or NON_REGISTERED))
+        for face_id, frame, label in zip(truth_emb.ids, truth_emb.frame_indices, truth_emb.true_labels):
+            if frame is None:
+                raise ValueError(f"embedding {face_id} has no frame index")
+            gt.append((frame, face_id, label or NON_REGISTERED))
         pred_tags = []
         for face_id, frame, label in predictions:
             if frame is None:

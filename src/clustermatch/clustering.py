@@ -198,7 +198,8 @@ def affinity_propagation(
     Preference is the median of the off-diagonal similarities. If the exemplar
     set never stabilizes, the current assignment is returned with
     ``converged=False``; if no exemplar emerges at all, every point collapses
-    into one cluster.
+    into one cluster. A run whose n x n arrays would not fit in physical memory
+    raises ValueError before allocating any of them.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
@@ -206,6 +207,7 @@ def affinity_propagation(
         raise ValueError("affinity propagation requires at least 2 points")
     if not 0.5 <= damping < 1.0:
         raise ValueError("damping must be in [0.5, 1)")
+    _check_memory(n, "affinity_propagation")
 
     sq = np.sum(mat**2, axis=1)
     S = -(sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T))
@@ -369,57 +371,90 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
 
     if dist is None:
         dist = pairwise_distances(mat)
-    # D[a, b] = Ward merge cost between live clusters a and b; only the rows and
-    # columns of live clusters are kept up to date, the rest are never read again
     D = dist * dist
     D *= 0.5  # size-1 clusters: (1*1)/(1+1) * ||ci-cj||^2
     np.fill_diagonal(D, np.inf)
+    buffer = D.reshape(-1)
+    # B is the m0 x m0 block of Ward merge costs between the clusters alive at
+    # the last compaction, in ascending order of their representatives
+    # (``reps``); a merge keeps the lower position. Merged-away clusters get a
+    # +inf penalty, so every update runs on whole contiguous rows.
+    B = D
+    reps = np.arange(n)
     sizes = np.ones(n)
-    # live clusters in ascending order; a merge keeps the lower index, so a
-    # cluster's index is its representative
-    act = np.arange(n)
+    penalty = np.zeros(n)
+    # every row's minimum over live columns and the smallest column holding it
+    rowarg = B.argmin(axis=1)
+    rowmin = B[reps, rowarg]
+    new, scratch = np.empty(n), np.empty(n)
 
-    # per-row nearest-neighbor cache over live columns, so each step avoids a full-matrix scan
-    rowmin = D.min(axis=1)
-    rowarg = D.argmin(axis=1)
-
-    for _ in range(n - 1):
-        mincost = rowmin.min()
-        # both ends of every pair at mincost have it as their row minimum, so the
-        # smallest tied row is the pair's first index and its first tied partner the second
-        tied = np.flatnonzero(rowmin == mincost)
-        i, partners = int(tied[0]), tied[1:]
-        j = int(partners[D[i, partners] == mincost][0])
-        merges.append(WardMerge(rep_a=i, rep_b=j, cost=float(D[i, j])))
-
-        ni, nj = sizes[i], sizes[j]
-        # Lance-Williams update for Ward: cost(ij, k)
-        act = act[act != j]
-        others = act[act != i]
-        nk = sizes[others]
-        Dnew = ((ni + nk) * D[i, others] + (nj + nk) * D[j, others] - nk * D[i, j]) / (ni + nj + nk)
-        D[i, others] = Dnew
-        D[others, i] = Dnew
-        sizes[i] = ni + nj
-
-        # refresh the nearest-neighbor cache where the merge invalidated it
-        rowmin[j] = np.inf
-        if others.size == 0:
+    for live in range(n - 1, 0, -1):  # clusters left after this merge
+        # both ends of every pair at the minimum have it as their row minimum, so
+        # the smallest such row and its smallest argmin are the lexicographically first pair
+        p = int(rowmin.argmin())
+        q = int(rowarg[p])
+        cost = B[p, q]
+        merges.append(WardMerge(rep_a=int(reps[p]), rep_b=int(reps[q]), cost=float(cost)))
+        if live == 1:
             break
-        rowmin[i] = Dnew.min()
-        rowarg[i] = others[Dnew.argmin()]
-        improved = Dnew <= rowmin[others]
-        took = others[improved]
-        rowmin[took] = Dnew[improved]
-        rowarg[took] = i
-        stale = others[~improved]
-        stale = stale[(rowarg[stale] == i) | (rowarg[stale] == j)]
-        for r in stale:
-            row = D[r, act]
-            rowmin[r] = row.min()
-            rowarg[r] = act[row.argmin()]
+
+        ni, nj = sizes[p], sizes[q]
+        penalty[q] = rowmin[p] = rowmin[q] = np.inf
+        # Lance-Williams update for Ward, term by term as
+        # ((ni + nk) * D[i] + (nj + nk) * D[j] - nk * D[i, j]) / (ni + nj + nk)
+        np.add(sizes, ni, out=new)
+        new *= B[p]
+        np.add(sizes, nj, out=scratch)
+        scratch *= B[q]
+        new += scratch
+        np.multiply(sizes, cost, out=scratch)
+        new -= scratch
+        np.add(sizes, ni + nj, out=scratch)
+        new /= scratch
+        new += penalty  # the diagonal makes new[p] inf too
+        sizes[p] = ni + nj
+        B[p] = new
+        B[:, p] = new  # stale rows are rescanned through this column
+
+        # refresh the cache: a row takes p when the new cost is below its minimum,
+        # or equal to it from a column at or after p; a row whose argmin was p or q
+        # and whose new cost is above its minimum is rescanned
+        took = (new < rowmin) | ((new == rowmin) & (rowarg >= p))
+        stale = np.flatnonzero((rowarg == p) | (rowarg == q))
+        stale = stale[new[stale] > rowmin[stale]]
+        np.minimum(rowmin, new, out=rowmin)
+        rowarg[took] = p
+        arg = new.argmin()
+        rowarg[p], rowmin[p] = arg, new[arg]
+        for r in stale.tolist():
+            np.add(B[r], penalty, out=scratch)
+            arg = scratch.argmin()
+            rowarg[r], rowmin[r] = arg, scratch[arg]
+
+        if 2 * live <= len(reps):
+            keep = np.flatnonzero(penalty == 0)
+            B = _compact(buffer, B, keep)
+            position = np.empty(len(reps), dtype=np.intp)
+            position[keep] = np.arange(live)
+            reps, sizes, rowmin, rowarg = reps[keep], sizes[keep], rowmin[keep], position[rowarg[keep]]
+            penalty, new, scratch = np.zeros(live), np.empty(live), np.empty(live)
 
     return WardTree(n_points=n, merges=tuple(merges))
+
+
+# rows the Ward loop's compaction moves at a time, which bounds its temporary
+_COMPACT_BLOCK = 256
+
+
+def _compact(buffer: np.ndarray, B: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """B[keep][:, keep], written as an m x m block at the start of ``buffer``, which B
+    also starts. Row r moves from row keep[r] >= r of the wider B, so writing rows in
+    ascending order never overwrites a row still to be read."""
+    m = len(keep)
+    out = buffer[: m * m].reshape(m, m)
+    for start in range(0, m, _COMPACT_BLOCK):
+        out[start : start + _COMPACT_BLOCK] = B[keep[start : start + _COMPACT_BLOCK]][:, keep]
+    return out
 
 
 def agglomerative_ward(data, k: int, dist: np.ndarray | None = None) -> Clustering:
@@ -495,18 +530,26 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def checked_distances(data, algorithm: str) -> np.ndarray:
-    """``pairwise_distances`` of the data, after checking that the float64 n x n
-    arrays ``algorithm`` holds at its peak fit in physical memory: the
-    distances, plus the cost matrix for Ward."""
-    mat = as_matrix(data)
-    n = mat.shape[0]
-    needed, available = (2 if algorithm == "ward" else 1) * n * n * 8, _physical_memory()
+# float64 n x n arrays each algorithm holds at its peak: the distances, plus the
+# cost matrix for Ward; affinity propagation's messages and their temporaries
+_PEAK_MATRICES = {"ward": 2, "kmeans": 1, "affinity_propagation": 10}
+
+
+def _check_memory(n: int, algorithm: str) -> None:
+    """Raise ValueError when the n x n arrays ``algorithm`` holds at its peak exceed physical memory."""
+    needed, available = _PEAK_MATRICES[algorithm] * n * n * 8, _physical_memory()
     if needed > available:
         raise ValueError(
             f"clustering n={n} points needs {needed / 2**30:.1f} GiB for its n x n matrices, "
             f"more than the {available / 2**30:.1f} GiB of physical memory"
         )
+
+
+def checked_distances(data, algorithm: str) -> np.ndarray:
+    """``pairwise_distances`` of the data, after checking that the float64 n x n
+    arrays ``algorithm`` holds at its peak fit in physical memory."""
+    mat = as_matrix(data)
+    _check_memory(mat.shape[0], algorithm)
     return pairwise_distances(mat)
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .clustering import Clustering
-from .geometry import Embedding
+from .geometry import Embedding, EmbeddingSet
 from .matching import LabeledClusterSet
 
 EMBEDDING_HEADER_PREFIX = "#emb v1 dim="
@@ -59,6 +59,8 @@ def _read_json_object(path: str | Path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise FormatError(f"{path}: invalid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object at the top level, got {type(doc).__name__}")
     return doc
@@ -100,7 +102,10 @@ def _numbers(value) -> list:
 def _histogram(value) -> dict[str, int]:
     if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {type(value).__name__}")
-    return {k: int(v) for k, v in value.items()}
+    for label, count in value.items():
+        if type(count) is not int or count < 0:
+            raise ValueError(f"count of {label!r} is {count!r}, expected a non-negative integer")
+    return value
 
 
 # required keys of a store entry; label_histogram is optional
@@ -137,8 +142,12 @@ def write_embeddings(embeddings: Sequence[Embedding], path: str | Path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def read_embeddings(path: str | Path) -> list[Embedding]:
-    """Parse a `#emb v1` file; any malformed line raises FormatError naming it."""
+def read_embeddings(path: str | Path) -> EmbeddingSet:
+    """Parse a `#emb v1` file; any malformed line raises FormatError naming it.
+
+    All vectors are parsed in one pass of Python's ``float`` into one matrix;
+    when any check fails, the lines are checked one by one to name the first bad one.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or not lines[0].startswith(EMBEDDING_HEADER_PREFIX):
@@ -146,13 +155,42 @@ def read_embeddings(path: str | Path) -> list[Embedding]:
     try:
         dim = int(lines[0][len(EMBEDDING_HEADER_PREFIX):])
     except ValueError:
-        raise FormatError(f"{path}: bad dimension in header {lines[0]!r}") from None
+        dim = 0
+    if dim < 1:
+        raise FormatError(f"{path}: bad dimension in header {lines[0]!r}")
 
-    out: list[Embedding] = []
+    numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    faces = _parse_records([line.split("\t") for _, line in numbered], dim)
+    if faces is None:
+        _check_records(path, numbered, dim)
+        raise FormatError(f"{path}: malformed embedding records")  # _check_records names the line first
+    return faces
+
+
+def _parse_records(records: list[list[str]], dim: int) -> EmbeddingSet | None:
+    """The tab-split records as a set, or None when any record is malformed."""
+    if any(len(fields) != 5 for fields in records):
+        return None
+    ids, video_ids, frames, labels, vecs = zip(*records) if records else ((),) * 5
+    if any(vec.count(",") != dim - 1 for vec in vecs) or len(set(ids)) != len(ids):
+        return None
+    components = chain.from_iterable(vec.split(",") for vec in vecs)
+    try:
+        return EmbeddingSet(
+            ids=ids,
+            vectors=np.fromiter(map(float, components), np.float64, len(ids) * dim).reshape(len(ids), dim),
+            video_ids=[v or None for v in video_ids],
+            frame_indices=[int(f) if f else None for f in frames],
+            true_labels=[label or None for label in labels],
+        )
+    except ValueError:  # an unparsable number or frame, or a value EmbeddingSet rejects
+        return None
+
+
+def _check_records(path: str | Path, numbered: list[tuple[int, str]], dim: int) -> None:
+    """Check each (line number, line) record on its own; raise FormatError for the first bad one."""
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in numbered:
         fields = line.split("\t")
         if len(fields) != 5:
             raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
@@ -169,18 +207,15 @@ def read_embeddings(path: str | Path) -> list[Embedding]:
             raise FormatError(f"{path}:{lineno}: duplicate embedding id {eid!r}")
         seen.add(eid)
         try:
-            out.append(
-                Embedding(
-                    id=eid,
-                    vector=vector,
-                    video_id=video_id or None,
-                    frame_index=int(frame) if frame else None,
-                    true_label=label or None,
-                )
+            Embedding(
+                id=eid,
+                vector=vector,
+                video_id=video_id or None,
+                frame_index=int(frame) if frame else None,
+                true_label=label or None,
             )
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +346,7 @@ def write_clustering(
         "num_clusters": clustering.num_clusters,
         "converged": clustering.converged,
         "silhouette_score": score,
-        "assignments": [[e.id, int(c)] for e, c in zip(embeddings, clustering.assignments)],
+        "assignments": [[eid, int(c)] for eid, c in zip(EmbeddingSet.of(embeddings).ids, clustering.assignments)],
     }
     _atomic_write(path, json.dumps(doc, indent=1) + "\n")
 

@@ -17,7 +17,7 @@ from .clustering import (
     kmeans,
     silhouette,
 )
-from .geometry import as_matrix
+from .geometry import EmbeddingSet, as_matrix
 from .matching import (
     BEST_SILHOUETTE,
     LabeledClusterSet,
@@ -77,10 +77,8 @@ def build_labeled_store(
     from ``cluster_labels`` (one label per cluster index) when supplied.
     Both cluster-embedding variants are precomputed for each entry.
     """
-    embeddings = list(embeddings)
-    if not embeddings:
-        raise ValueError("cannot build a store from an empty embedding set")
-    mat = as_matrix(embeddings)
+    faces = EmbeddingSet.of(embeddings)
+    mat = as_matrix(faces)
     clustering = run_clustering(mat, algorithm=algorithm, k=k, ksearch=ksearch, seed=seed)
     if cluster_labels is not None and len(cluster_labels) != clustering.num_clusters:
         raise ValueError(f"got {len(cluster_labels)} labels for {clustering.num_clusters} clusters")
@@ -94,7 +92,7 @@ def build_labeled_store(
             label = cluster_labels[c]
             histogram = {label: len(members)}
         else:
-            member_labels = [embeddings[i].true_label for i in members]
+            member_labels = [faces.true_labels[i] for i in members]
             if any(lab is None for lab in member_labels):
                 raise ValueError(
                     "embeddings lack true labels; pass cluster_labels to label the clusters"
@@ -102,12 +100,12 @@ def build_labeled_store(
             label, _ = majority_label(member_labels)
             histogram = dict(Counter(member_labels))
         labels.append(label)
-        member_ids.append(tuple(embeddings[i].id for i in members))
+        member_ids.append(tuple(faces.ids[i] for i in members))
         histograms.append(histogram)
     return LabeledClusterSet.from_arrays(
         labels=labels,
         member_ids=member_ids,
-        best_silhouette_ids=[embeddings[r].id for r in reps],
+        best_silhouette_ids=[faces.ids[r] for r in reps],
         histograms=histograms,
         centroids=np.stack([mat[members].mean(axis=0) for members in groups]),
         best_silhouette_vectors=mat[reps],
@@ -141,10 +139,8 @@ def recognize(
 ) -> RecognitionResult:
     """Cluster a video's faces (K unknown), match each cluster against the store,
     and propagate every cluster's decision to its member faces."""
-    embeddings = list(video_embeddings)
-    if not embeddings:
-        raise ValueError("empty video embedding set")
-    mat = as_matrix(embeddings)
+    faces = EmbeddingSet.of(video_embeddings)
+    mat = as_matrix(faces)
     if mat.shape[1] != store.dimension:
         raise ValueError(f"video dimension {mat.shape[1]} != store dimension {store.dimension}")
 
@@ -159,7 +155,7 @@ def recognize(
     outcomes = [
         ClusterOutcome(
             cluster_index=c,
-            member_ids=tuple(embeddings[i].id for i in members.tolist()),
+            member_ids=tuple(faces.ids[i] for i in members.tolist()),
             decision=decision,
             label=decision.label if decision.matched else NON_REGISTERED,
         )
@@ -168,8 +164,8 @@ def recognize(
 
     by_cluster = {o.cluster_index: o.label for o in outcomes}
     face_labels = tuple(
-        (e.id, e.frame_index, by_cluster[clustering.assignments[i]])
-        for i, e in enumerate(embeddings)
+        (face_id, frame, by_cluster[c])
+        for face_id, frame, c in zip(faces.ids, faces.frame_indices, clustering.assignments)
     )
     return RecognitionResult(
         clustering=clustering,

@@ -1,23 +1,26 @@
 """Independent brute-force reference implementations used to check the library.
 
 These deliberately avoid the library's code paths (plain Python loops and
-math.log instead of numpy) so a shared bug cannot hide. The last five are the
+math.log instead of numpy) so a shared bug cannot hide. The last six are the
 direct forms of faster library code: a union-find cut of a Ward tree, the
 Ward K search that cuts and scores every k on its own, the greedy Ward loop
 that keeps every row and column of its cost matrix current, the distance
-matrix symmetrised in one whole-matrix pass, and the match of one query
-cluster that scores every store entry.
+matrix symmetrised in one whole-matrix pass, the match of one query
+cluster that scores every store entry, and the embedding-file reader that
+parses and checks one line at a time.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from clustermatch.clustering import Clustering, KSearchConfig, WardMerge, silhouette, ward_tree
-from clustermatch.geometry import as_matrix, pairwise_distances
+from clustermatch.formats import EMBEDDING_HEADER_PREFIX, FormatError
+from clustermatch.geometry import Embedding, as_matrix, pairwise_distances
 from clustermatch.matching import CENTROID, make_cluster_embedding, match_probabilities, truncate_top_alpha
 
 
@@ -164,14 +167,12 @@ def greedy_ward_merges(dist):
 
     for _ in range(n - 1):
         mincost = rowmin.min()
-        best = None
-        for r in np.flatnonzero(rowmin == mincost):
-            for c in np.flatnonzero(D[r] == mincost):
-                a, b = (int(r), int(c)) if r < c else (int(c), int(r))
-                key = (min(reps[a], reps[b]), max(reps[a], reps[b]))
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        _, i, j = best
+        # every (row, column) at mincost in the tied rows; the pair with the smallest (min rep, max rep)
+        tied = np.flatnonzero(rowmin == mincost)
+        rows, cols = np.nonzero(D[tied] == mincost)
+        rows = tied[rows]
+        first = np.lexsort((np.maximum(reps[rows], reps[cols]), np.minimum(reps[rows], reps[cols])))[0]
+        i, j = sorted((int(rows[first]), int(cols[first])))
         merges.append(
             WardMerge(rep_a=int(min(reps[i], reps[j])), rep_b=int(max(reps[i], reps[j])), cost=float(D[i, j]))
         )
@@ -255,3 +256,47 @@ def full_match(query_members, store, config) -> FullMatch:
         cluster_index=best if matched else None,
         probability=float(probs[best]) if matched else None,
     )
+
+
+def per_line_read_embeddings(path):
+    """An `#emb v1` file as a list of ``Embedding``: each line parsed and checked on its
+    own, and the first malformed one raised as FormatError naming it."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith(EMBEDDING_HEADER_PREFIX):
+        raise FormatError(f"{path}: missing '{EMBEDDING_HEADER_PREFIX}<n>' header")
+    try:
+        dim = int(lines[0][len(EMBEDDING_HEADER_PREFIX):])
+    except ValueError:
+        raise FormatError(f"{path}: bad dimension in header {lines[0]!r}") from None
+
+    out = []
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise FormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
+        eid, video_id, frame, label, vec = fields
+        try:
+            vector = tuple(float(x) for x in vec.split(","))
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: unparsable vector") from None
+        if len(vector) != dim:
+            raise FormatError(f"{path}:{lineno}: vector has dimension {len(vector)}, file header says {dim}")
+        if eid in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate embedding id {eid!r}")
+        seen.add(eid)
+        try:
+            out.append(
+                Embedding(
+                    id=eid,
+                    vector=vector,
+                    video_id=video_id or None,
+                    frame_index=int(frame) if frame else None,
+                    true_label=label or None,
+                )
+            )
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+    return out

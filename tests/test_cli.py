@@ -225,6 +225,50 @@ class TestErrorHandling:
         assert run(["match", "--in", emb, "--store", store, "--out", tmp_path / "l.tsv"]) == 1
         self.assert_one_error_line(capsys, "store.json", "entry 3", repr(key))
 
+    @pytest.mark.parametrize("bad", [2.7, True, -1, "3", None], ids=["fraction", "true", "negative", "string", "null"])
+    def test_store_with_a_bad_histogram_count(self, emb, tmp_path, capsys, bad):
+        store = tmp_path / "store.json"
+        assert run(["label", "--in", emb, "--auto-k", "--out", store]) == 0
+        doc = json.loads(store.read_text())
+        doc["entries"][3]["label_histogram"] = {doc["entries"][3]["label"]: bad}
+        store.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["match", "--in", emb, "--store", store, "--out", tmp_path / "l.tsv"]) == 1
+        self.assert_one_error_line(capsys, "store.json", "entry 3", "'label_histogram'", repr(bad))
+
+    @pytest.mark.parametrize("command", ["match", "evaluate"])
+    def test_deeply_nested_json(self, emb, tmp_path, capsys, command):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        argv = {
+            "match": ["match", "--in", emb, "--store", nested, "--out", tmp_path / "l.tsv"],
+            "evaluate": ["evaluate", "--mode", "vmeasure", "--in", emb, "--clustering", nested],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 1
+        self.assert_one_error_line(capsys, "nested.json", "nested too deeply")
+
+    # (file text, what the error names besides the file)
+    BAD_EMBEDDING_FILES = {
+        "nan": ("#emb v1 dim=2\na\t\t\t\t1,2\nb\t\t\t\tnan,1\n", ":3:", "non-finite"),
+        "inf": ("#emb v1 dim=2\na\t\t\t\t1,2\nb\t\t\t\t1,inf\n", ":3:", "non-finite"),
+        "overflow": ("#emb v1 dim=2\na\t\t\t\t1,2\nb\t\t\t\t1e999,1\n", ":3:", "non-finite"),
+        "negative-frame": ("#emb v1 dim=2\na\t\t0\t\t1,2\nb\t\t-1\t\t1,2\n", ":3:", "non-negative"),
+        "fractional-frame": ("#emb v1 dim=2\na\t\t0\t\t1,2\nb\t\t1.5\t\t1,2\n", ":3:", "'1.5'"),
+        "empty-vector": ("#emb v1 dim=2\na\t\t\t\t1,2\nb\t\t\t\t\n", ":3:", "unparsable vector"),
+        "header-dim": ("#emb v1 dim=x\na\t\t\t\t1,2\n", ":", "'#emb v1 dim=x'"),
+    }
+
+    @pytest.mark.parametrize("name", list(BAD_EMBEDDING_FILES))
+    def test_bad_embedding_file_names_file_and_line(self, tmp_path, capsys, name):
+        text, line, detail = self.BAD_EMBEDDING_FILES[name]
+        emb = tmp_path / "bad.emb"
+        emb.write_text(text)
+        out = tmp_path / "cl.json"
+        assert run(["cluster", "--in", emb, "--k", "1", "--out", out]) == 1
+        self.assert_one_error_line(capsys, f"bad.emb{line}", detail)
+        assert not out.exists()
+
     def test_store_top_level_list(self, emb, tmp_path, capsys):
         store = tmp_path / "store.json"
         store.write_text("[]")
@@ -299,6 +343,13 @@ class TestErrorHandling:
         self.assert_one_error_line(capsys, "n=50", "GiB")
         assert not (tmp_path / "cl.json").exists()
 
+
+    def test_affinity_propagation_too_large_for_memory(self, emb, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 1 << 10)
+        capsys.readouterr()
+        assert run(["cluster", "--in", emb, "--algo", "ap", "--out", tmp_path / "cl.json"]) == 1
+        self.assert_one_error_line(capsys, "n=50", "GiB")
+        assert not (tmp_path / "cl.json").exists()
 
 class TestOneDistanceMatrixPerRun:
     """A clustering run computes one distance matrix, and on this world one Ward cut and one silhouette."""

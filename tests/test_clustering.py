@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from clustermatch.clustering import (
     ward_tree,
 )
 from clustermatch.geometry import pairwise_distances
+from clustermatch.pipeline import run_clustering
 
 from .oracles import brute_silhouette, ward_merge_cost, wcss
 
@@ -333,6 +336,21 @@ class TestMemoryCheck:
         assert estimate_clustering(data, "kmeans").n_points == 10
         monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 2 * 10 * 10 * 8)
         assert estimate_clustering(data, "ward").n_points == 10
+
+    def test_affinity_propagation_is_checked_before_it_allocates(self, monkeypatch):
+        n = 200
+        data = np.random.default_rng(38).normal(size=(n, 2))
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 10 * n * n * 8 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n=200 points needs"):
+                run_clustering(data, algorithm="affinity_propagation")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 10 * n * n * 8)
+        assert run_clustering(data, algorithm="affinity_propagation").n_points == n
 
     def test_probe_reads_this_machine(self):
         assert clustering_module._physical_memory() > 0

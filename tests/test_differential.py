@@ -367,6 +367,11 @@ WARD_TREE_CASES = {
     "one-point": lambda: np.zeros((1, 3)),
     "two-points": lambda: np.array([[0.0, 1.0], [2.0, 3.0]]),
     "blobs-2000": lambda: blobs(12, 2000, 20, 16),
+    # ties across the compactions of the live block (at n/2, n/4, ...)
+    "all-equal-300": lambda: np.ones((300, 4)),
+    "integer-grid-513": lambda: np.random.default_rng(5).integers(0, 3, size=(513, 2)).astype(float),
+    "integer-grid-1025": lambda: np.random.default_rng(6).integers(0, 4, size=(1025, 3)).astype(float),
+    "triplicated-513": lambda: np.repeat(np.random.default_rng(7).normal(size=(171, 3)), 3, axis=0),
 }
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from clustermatch.clustering import Clustering
@@ -16,8 +17,10 @@ from clustermatch.formats import (
     write_face_labels,
     write_store,
 )
-from clustermatch.geometry import Embedding
+from clustermatch.geometry import Embedding, EmbeddingSet, as_matrix
 from clustermatch.matching import LabeledCluster, LabeledClusterSet
+
+from . import oracles
 
 
 @pytest.fixture
@@ -34,7 +37,8 @@ class TestEmbeddingFile:
         path = tmp_path / "e.emb"
         write_embeddings(sample_embeddings, path)
         back = read_embeddings(path)
-        assert back == sample_embeddings
+        assert list(back) == sample_embeddings
+        assert back == EmbeddingSet.of(sample_embeddings)
 
     def test_round_trip_preserves_full_precision(self, tmp_path):
         e = Embedding(id="x", vector=(0.1 + 0.2, 1e-300, 12345.678901234567))
@@ -81,6 +85,58 @@ class TestEmbeddingFile:
         embs = [Embedding(id="a", vector=(1.0,)), Embedding(id="b", vector=(1.0, 2.0))]
         with pytest.raises(ValueError):
             write_embeddings(embs, tmp_path / "e.emb")
+
+    # (frame, vector) of a record in a dim=2 file; each case is accepted or rejected
+    # by Python's own int and float, so both readers must agree on it
+    RECORDS = {
+        "underscores": ("", "1_000,2"),
+        "leading-space": ("", " 1.5,2"),
+        "negative-zero": ("", "-0,-0.0"),
+        "subnormal": ("", "1e-320,5e-324"),
+        "17-digit-mantissas": ("", "0.30000000000000004,1.2345678901234567e-05"),
+        "beyond-double-precision": ("", "9007199254740993,0.1000000000000000055511151231257827"),
+        "hex-float": ("", "0x1p3,1"),
+        "nan": ("", "nan,1"),
+        "overflow": ("", "1e999,1"),
+        "empty-component": ("", "1,"),
+        "empty-vector": ("", ""),
+        "one-component": ("", "1.0"),
+        "three-components": ("", "1,2,3"),
+        "plus-frame": ("+3", "1,2"),
+        "underscore-frame": ("1_0", "1,2"),
+        "negative-frame": ("-1", "1,2"),
+        "fractional-frame": ("1.5", "1,2"),
+    }
+
+    @pytest.mark.parametrize("name", list(RECORDS))
+    def test_reader_equals_per_line_reader(self, tmp_path, name):
+        frame, vector = self.RECORDS[name]
+        path = tmp_path / "e.emb"
+        path.write_text(f"#emb v1 dim=2\nok\tv\t0\talice\t0.25,-1e300\nx\tv\t{frame}\tbob\t{vector}\n")
+        try:
+            want = oracles.per_line_read_embeddings(path)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                read_embeddings(path)
+            assert str(got.value) == str(exc)
+            return
+        got = read_embeddings(path)
+        assert list(got) == want
+        bits = np.array([e.vector for e in want]).view(np.uint64)
+        assert np.array_equal(got.vectors.view(np.uint64), bits)
+
+    def test_set_is_read_only_columns(self, tmp_path, sample_embeddings):
+        path = tmp_path / "e.emb"
+        write_embeddings(sample_embeddings, path)
+        back = read_embeddings(path)
+        assert back.ids == ("a", "b", "c")
+        assert back.frame_indices == (0, None, 12)
+        assert back.true_labels == ("alice", None, None)
+        assert back.video_ids == ("vid1", None, None)
+        assert as_matrix(back) is back.vectors and not back.vectors.flags.writeable
+        assert list(back.select([False, True, True])) == sample_embeddings[1:] == list(back[1:])
+        with pytest.raises(AttributeError):
+            back.ids = ()
 
 
 class TestStoreFile:

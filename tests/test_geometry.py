@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from clustermatch.geometry import (
     Embedding,
+    EmbeddingSet,
+    as_matrix,
     centroid,
     euclidean_distance,
     pairwise_distances,
@@ -37,6 +39,44 @@ class TestEmbedding:
     def test_rejects_negative_frame(self):
         with pytest.raises(ValueError):
             Embedding(id="a", vector=(1.0,), frame_index=-1)
+
+
+class TestEmbeddingSet:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(ids=["a", "b"], vectors=[[1.0], [np.inf]]), "embedding 'b' has non-finite components"),
+            (dict(ids=["a", ""], vectors=[[1.0], [2.0]]), "embedding id must be a non-empty string"),
+            (dict(ids=["a", "b"], vectors=[[1.0], [2.0]], frame_indices=[0, -1]), "frame_index must be non-negative"),
+        ],
+        ids=["non-finite", "empty-id", "negative-frame"],
+    )
+    def test_rejects_what_embedding_rejects(self, kwargs, message):
+        with pytest.raises(ValueError) as got:
+            EmbeddingSet(**kwargs)
+        assert str(got.value) == message
+
+    def test_rejects_ragged_columns_and_dimensions(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            EmbeddingSet(ids=["a"], vectors=[[1.0], [2.0]])
+        with pytest.raises(ValueError, match="inconsistent embedding dimensions"):
+            EmbeddingSet.of([Embedding(id="a", vector=(1.0,)), Embedding(id="b", vector=(1.0, 2.0))])
+
+    def test_empty_set_has_no_matrix(self):
+        empty = EmbeddingSet(ids=[], vectors=np.empty((0, 3)))
+        assert len(empty) == 0 and empty.dim == 3
+        with pytest.raises(ValueError, match="empty embedding set"):
+            as_matrix(empty)
+        with pytest.raises(ValueError, match="empty embedding set"):
+            EmbeddingSet.of([])
+
+    def test_of_round_trips_embeddings(self):
+        embeddings = [Embedding(id="a", vector=(1.0, -0.0), video_id="v", frame_index=2, true_label="x"),
+                      Embedding(id="b", vector=(3.0, 4.0))]
+        faces = EmbeddingSet.of(embeddings)
+        assert EmbeddingSet.of(faces) is faces
+        assert list(faces) == embeddings and faces[-1] == embeddings[-1]
+        assert faces.select(np.array([1, 0])).ids == ("b", "a")
 
 
 class TestEuclideanDistance:
