@@ -8,12 +8,13 @@ the best score indicates overlap.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import as_matrix, pairwise_distances
+from .geometry import as_matrix, pairwise_distances, squared_norms
 
 DEFAULT_PATIENCE = 5
 DEFAULT_MIN_SILHOUETTE = 0.2
@@ -85,13 +86,8 @@ class SilhouetteReport:
 def _relabel(labels: np.ndarray) -> tuple[tuple[int, ...], int]:
     """Map arbitrary cluster labels to dense 0-based indices in order of first appearance."""
     mapping: dict[int, int] = {}
-    out = []
-    for lab in labels:
-        lab = int(lab)
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out.append(mapping[lab])
-    return tuple(out), len(mapping)
+    dense = tuple(mapping.setdefault(int(lab), len(mapping)) for lab in labels)
+    return dense, len(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +194,9 @@ def affinity_propagation(
     Preference is the median of the off-diagonal similarities. If the exemplar
     set never stabilizes, the current assignment is returned with
     ``converged=False``; if no exemplar emerges at all, every point collapses
-    into one cluster. A run whose n x n arrays would not fit in physical memory
-    raises ValueError before allocating any of them.
+    into one cluster. A run whose n x n arrays would not fit in physical memory,
+    or whose squared distances would overflow, raises ValueError before
+    allocating any of them.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
@@ -209,7 +206,7 @@ def affinity_propagation(
         raise ValueError("damping must be in [0.5, 1)")
     _check_memory(n, "affinity_propagation")
 
-    sq = np.sum(mat**2, axis=1)
+    sq = squared_norms(mat)
     S = -(sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T))
     np.fill_diagonal(S, 0.0)
     off = S[~np.eye(n, dtype=bool)]
@@ -258,24 +255,16 @@ def affinity_propagation(
     if exemplars is None or exemplars.size == 0:
         # no consensus: everything collapses into one cluster
         fallback = int(np.argmax(R.diagonal() + A.diagonal()))
-        labels = np.zeros(n, dtype=int)
-        dense, m = _relabel(labels)
-        return Clustering(assignments=dense, num_clusters=m, converged=False, exemplars=(fallback,))
+        return replace(_single_cluster(n), converged=False, exemplars=(fallback,))
 
     assign = exemplars[np.argmax(S[:, exemplars], axis=1)]
     assign[exemplars] = exemplars
     dense, m = _relabel(assign)
-    # exemplar list ordered by dense cluster index
-    order: dict[int, int] = {}
-    for raw in assign:
-        if int(raw) not in order:
-            order[int(raw)] = len(order)
-    ex_by_cluster = sorted(order.items(), key=lambda kv: kv[1])
     return Clustering(
         assignments=dense,
         num_clusters=m,
         converged=converged,
-        exemplars=tuple(raw for raw, _ in ex_by_cluster),
+        exemplars=tuple(dict.fromkeys(assign.tolist())),  # ordered by dense cluster index
     )
 
 
@@ -354,6 +343,7 @@ class WardTree:
         return Clustering(assignments=tuple(assignments.tolist()), num_clusters=k)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing cost raises below instead
 def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
     """Build the full Ward dendrogram: greedily merge the pair with the
     minimum increase in total within-cluster variance, updating inter-cluster
@@ -362,6 +352,8 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
     Ties break on the lexicographically smallest (min rep, max rep) pair,
     where a cluster's representative is its smallest original point index.
     ``dist`` is the data's ``pairwise_distances``, computed here when not given.
+    A merge cost that overflows to inf or nan raises ValueError, so no merge
+    joins a cluster to itself.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
@@ -394,6 +386,8 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
         p = int(rowmin.argmin())
         q = int(rowarg[p])
         cost = B[p, q]
+        if not math.isfinite(cost):
+            raise ValueError(f"Ward merge cost {cost} is not finite: the data's scale overflows float64")
         merges.append(WardMerge(rep_a=int(reps[p]), rep_b=int(reps[q]), cost=float(cost)))
         if live == 1:
             break
@@ -471,24 +465,38 @@ def agglomerative_ward(data, k: int, dist: np.ndarray | None = None) -> Clusteri
 # silhouette
 
 
-def _coefficients(sums: np.ndarray, counts: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Silhouette coefficients s and their a and b, from per-cluster distance sums.
+def _distance_sums(dist: np.ndarray, points: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the sum of dist[j, i] over j in ``points``, added one row at a time in
+    the order given: no temporary, and the same points give the same bits."""
+    np.copyto(out, dist[points[0]])
+    for j in points[1:].tolist():
+        out += dist[j]
 
-    ``sums[c, i]`` is the total distance from point i to the members of cluster
-    c, ``counts[c]`` the size of cluster c and ``own[i]`` the cluster of point i.
-    """
-    points = np.arange(own.shape[0])
-    own_count = counts[own]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(own_count > 1, sums[own, points] / np.maximum(own_count - 1, 1), 0.0)
-        mean_to = sums / counts[:, None]
-    mean_to[own, points] = np.inf
-    b = mean_to.min(axis=0)
 
+def _nearest(sums: np.ndarray, counts: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b, the smallest mean distance from each point to a cluster other than its own, and
+    the row giving it. ``sums[c, j]`` is the total distance from point j to cluster c,
+    ``counts[c]`` the size of c and ``own[j]`` the row of j's cluster."""
+    columns = np.arange(sums.shape[1])
+    mean_to = sums / counts[:, None]
+    mean_to[own, columns] = np.inf
+    row = mean_to.argmin(axis=0)
+    return mean_to[row, columns], row
+
+
+def _coefficients(own_sums: np.ndarray, own_count: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Silhouette coefficients s and a, from each point's distance sum to its own cluster,
+    that cluster's size and b; a and s are 0 for a singleton, s is 0 where a = b = 0."""
+    a = np.where(own_count > 1, own_sums / np.maximum(own_count - 1, 1), 0.0)
     denom = np.maximum(a, b)
     s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
-    s = np.where(own_count > 1, s, 0.0)  # singleton convention
-    return s, a, b
+    return np.where(own_count > 1, s, 0.0), a
+
+
+def _report(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> SilhouetteReport:
+    return SilhouetteReport(
+        coefficients=tuple(s.tolist()), intra=tuple(a.tolist()), nearest=tuple(b.tolist()), score=float(s.mean())
+    )
 
 
 def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> SilhouetteReport:
@@ -496,7 +504,9 @@ def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> 
 
     a: mean distance to other members of the sample's own cluster (0 by
     convention for singletons, which get S = 0); b: smallest mean distance to
-    the members of any other cluster.
+    the members of any other cluster. Every distance sum runs over a cluster's
+    members in ascending index order (``_distance_sums``), as the Ward K search's
+    sums do, so both give the same bits for the same clusters.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
@@ -508,17 +518,15 @@ def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> 
     if dist is None:
         dist = pairwise_distances(mat)
 
-    assign = np.asarray(clustering.assignments)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), assign] = 1.0
-    sums = dist @ onehot  # sums[i, c] = total distance from i to cluster c
-    s, a, b = _coefficients(sums.T, onehot.sum(axis=0), assign)
-    return SilhouetteReport(
-        coefficients=tuple(float(x) for x in s),
-        intra=tuple(float(x) for x in a),
-        nearest=tuple(float(x) for x in b),
-        score=float(s.mean()),
-    )
+    own = np.asarray(clustering.assignments)
+    sums = np.empty((k, n))  # sums[c, i] = total distance from i to cluster c
+    groups = clustering.member_groups()
+    for members, row in zip(groups, sums):
+        _distance_sums(dist, members, row)
+    counts = np.array([len(members) for members in groups], dtype=np.float64)
+    b, _ = _nearest(sums, counts, own)
+    s, a = _coefficients(sums[own, np.arange(n)], counts[own], b)
+    return _report(s, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -557,49 +565,51 @@ def _single_cluster(n: int) -> Clustering:
     return Clustering(assignments=tuple([0] * n), num_clusters=1)
 
 
-# rows of the distance matrix the Ward sweep gathers at a time, which bounds its temporaries
-_SWEEP_BLOCK = 256
-
-
-def _distance_sums(dist: np.ndarray, points: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = the sum of dist[j, i] over j in ``points``."""
-    np.sum(dist[points[:_SWEEP_BLOCK]], axis=0, out=out)
-    for start in range(_SWEEP_BLOCK, len(points), _SWEEP_BLOCK):
-        out += dist[points[start : start + _SWEEP_BLOCK]].sum(axis=0)
-
-
 def _ward_sweep(tree: WardTree, dist: np.ndarray, kmax: int):
-    """Yield (k, score, None) for k = 2..kmax, where score is the silhouette
-    score of ``tree.cut(k)`` up to rounding.
+    """Yield (k, score, keep) for k = 2..kmax: score is the silhouette score of
+    ``tree.cut(k)`` and keep() gives its coefficients, a and b for ``_report``.
 
-    Going from k - 1 to k clusters undoes merge n - k. Both of its children get
-    their distance sums straight from ``dist``, so every sum adds only
-    non-negative terms: it is within a relative n*eps of the sum ``silhouette``
-    takes, and an exact zero stays zero.
+    Going from k - 1 to k clusters undoes merge n - k. Both of its children sum
+    their distances over their points in ascending order, as ``silhouette``
+    does, so every value is bit-equal to ``silhouette(tree.cut(k))``. Only the
+    children's rows change, so a point outside the split cluster whose b came
+    from another row takes the minimum of that b and its means to the children;
+    the split cluster's members and the points whose b came from the split row
+    look at every row again.
     """
     n = tree.n_points
     sums = np.empty((kmax, n))  # sums[c, i]: distance from point i to cluster c; rows past k stay untouched
     counts = np.empty(kmax)
     own = np.zeros(n, dtype=np.intp)
+    points = np.arange(n)
+    b = np.full(n, np.inf)
+    near = np.zeros(n, dtype=np.intp)  # the row each point's b comes from
     row_of = {2 * n - 2: 0}  # the sums row of each current cluster's node
     for k in range(2, kmax + 1):
         split, added = row_of.pop(2 * n - k), k - 1
-        for node, row in zip(tree.children[n - k].tolist(), (split, added)):
-            points = tree.points(node)
-            _distance_sums(dist, points, sums[row])
-            counts[row] = len(points)
+        parts = [np.sort(tree.points(node)) for node in tree.children[n - k]]
+        for node, part, row in zip(tree.children[n - k].tolist(), parts, (split, added)):
+            _distance_sums(dist, part, sums[row])
+            counts[row] = len(part)
             row_of[node] = row
-        own[points] = added
-        s, _, _ = _coefficients(sums[:k], counts[:k], own)
-        yield k, float(s.mean()), None
+        rescan = np.flatnonzero((near == split) | (own == split))
+        own[parts[1]] = added
+        for row in (split, added):
+            mean = sums[row] / counts[row]
+            closer = mean < b
+            b[closer], near[closer] = mean[closer], row
+        b[rescan], near[rescan] = _nearest(sums[:k, rescan], counts[:k], own[rescan])
+        s, a = _coefficients(sums[own, points], counts[own], b)
+        yield k, float(s.mean()), lambda: (s, a, b.copy())
 
 
 def _kmeans_candidates(mat: np.ndarray, dist: np.ndarray, kmax: int, seed: int):
-    """Yield (k, score, clustering) for k = 2..kmax: k-means at each k with its exact silhouette."""
+    """Yield (k, score, keep) for k = 2..kmax: k-means at each k with its silhouette
+    score, and keep() giving that clustering with its silhouette report."""
     for k in range(2, kmax + 1):
         clustering = kmeans(mat, k, seed=seed)
         report = silhouette(mat, clustering, dist=dist)
-        yield k, report.score, replace(clustering, silhouette=report)
+        yield k, report.score, lambda: replace(clustering, silhouette=report)
 
 
 def estimate_clustering(
@@ -617,9 +627,8 @@ def estimate_clustering(
     The chosen clustering keeps its silhouette report.
 
     k-means clusters and scores every k. Ward scores every k in one sweep down
-    its tree; a comparison the sweep's rounding could flip is decided again on
-    exact ``silhouette`` scores, and the winner is cut and scored exactly, so
-    both give the choices and the report of an exact search.
+    its tree, whose scores are exact ``silhouette`` scores; the winner's report
+    is the one the sweep computed, and its tree is cut once.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
@@ -633,40 +642,20 @@ def estimate_clustering(
     if algorithm == "ward":
         tree = ward_tree(mat, dist=dist)
         candidates = _ward_sweep(tree, dist, kmax)
-        # A sweep score and silhouette's score of one cut differ by rounding alone:
-        # the two sums of n non-negative terms agree to a relative n*eps, which
-        # moves a coefficient by at most ~2n*eps, a mean by ~3n*eps and the
-        # difference of two scores by ~12n*eps.
-        tolerance = 32 * n * np.finfo(np.float64).eps
-
-        def exact(k: int) -> Clustering:
-            cut = tree.cut(k)
-            return replace(cut, silhouette=silhouette(mat, cut, dist=dist))
-
     else:
-        candidates = _kmeans_candidates(mat, dist, kmax, seed)  # exact scores, each with its clustering
+        candidates = _kmeans_candidates(mat, dist, kmax, seed)
 
-    best_k, best_score, best = None, -np.inf, None  # best: the exact winner, once known
+    best_k, best_score, kept = None, -np.inf, None
     misses = 0
-    for k, score, current in candidates:
-        if current is None and abs(score - best_score) <= tolerance:  # a sweep score too close to call
-            current = exact(k)
-            best = best if best is not None else exact(best_k)
-            better = current.silhouette.score > best.silhouette.score
-        else:
-            better = score > best_score
-        if better:
-            best_k, best_score, best = k, score, current
+    for k, score, keep in candidates:
+        if score > best_score:
+            best_k, best_score, kept = k, score, keep()
             misses = 0
         else:
             misses += 1
             if misses >= config.patience:
                 break
 
-    if best_k is None:
+    if best_k is None or best_score < config.min_silhouette:
         return _single_cluster(n)
-    if best is None:
-        best = exact(best_k)
-    if best.silhouette.score < config.min_silhouette:
-        return _single_cluster(n)
-    return best
+    return kept if algorithm == "kmeans" else replace(tree.cut(best_k), silhouette=_report(*kept))

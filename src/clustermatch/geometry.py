@@ -1,4 +1,4 @@
-"""Embedding vector type, the column-held embedding set, and the distance/centroid
+"""Embedding vector type, the column-held embedding set, and the distance
 primitives used everywhere else."""
 from __future__ import annotations
 
@@ -162,19 +162,9 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
-def euclidean_distance(a: Vector, b: Vector) -> float:
-    """Euclidean distance between two vectors of equal dimension."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    _check_dims(av, bv)
-    return float(np.sqrt(np.sum((av - bv) ** 2)))
-
-
 def rmse(a: Vector, b: Vector) -> float:
-    """Root mean square difference over the n vector dimensions.
-
-    Equals euclidean_distance(a, b) / sqrt(n).
-    """
+    """Root mean square difference over the n vector dimensions: the Euclidean
+    distance divided by sqrt(n)."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     _check_dims(av, bv)
@@ -182,23 +172,30 @@ def rmse(a: Vector, b: Vector) -> float:
     return float(np.sqrt(np.sum((av - bv) ** 2) / n))
 
 
-def centroid(members: Sequence[Vector] | np.ndarray) -> np.ndarray:
-    """Component-wise mean of a non-empty list of vectors."""
-    if isinstance(members, np.ndarray):
-        mat = members
-    else:
-        mat = np.asarray([np.asarray(m, dtype=np.float64) for m in members])
-    if mat.size == 0 or mat.shape[0] == 0:
-        raise ValueError("centroid of an empty member list is undefined")
-    return mat.mean(axis=0)
+def squared_norms(mat: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, for squared distances taken as (sq_i + sq_j) - 2 * gram_ij.
+
+    Raises ValueError when 4 * max ||x||^2, which bounds every term of that
+    form, is not finite: the distances would come out inf or nan.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.sum(mat**2, axis=1)
+        bound = 4.0 * sq.max(initial=0.0)
+    if not np.isfinite(bound):
+        raise ValueError(
+            f"vector components up to {np.abs(mat).max():.3g} in magnitude are too large: "
+            "their squared distances overflow float64"
+        )
+    return sq
 
 
 def pairwise_distances(data: np.ndarray) -> np.ndarray:
     """All-pairs Euclidean distances for an (n, d) matrix, as a symmetric (n, n) array
     with an exactly zero diagonal. The distances are computed inside the Gram
-    matrix's buffer, so one n x n array is alive, plus row blocks and tiles."""
+    matrix's buffer, so one n x n array is alive, plus row blocks and tiles.
+    Data whose squared distances would overflow raise ValueError (``squared_norms``)."""
     mat = as_matrix(data)
-    sq = np.sum(mat**2, axis=1)
+    sq = squared_norms(mat)
     d = mat @ mat.T
     n = d.shape[0]
     # every element as sqrt(max((sq_i + sq_j) - 2 * gram_ij, 0))

@@ -1,13 +1,14 @@
 """Independent brute-force reference implementations used to check the library.
 
 These deliberately avoid the library's code paths (plain Python loops and
-math.log instead of numpy) so a shared bug cannot hide. The last six are the
-direct forms of faster library code: a union-find cut of a Ward tree, the
-Ward K search that cuts and scores every k on its own, the greedy Ward loop
-that keeps every row and column of its cost matrix current, the distance
-matrix symmetrised in one whole-matrix pass, the match of one query
-cluster that scores every store entry, and the embedding-file reader that
-parses and checks one line at a time.
+math.log instead of numpy) so a shared bug cannot hide. The first two, a
+distance and a mean, are the references the geometry tests check against.
+The last six are the direct forms of faster library code: a union-find cut
+of a Ward tree, the Ward K search that cuts and scores every k on its own,
+the greedy Ward loop that keeps every row and column of its cost matrix
+current, the distance matrix symmetrised in one whole-matrix pass, the match
+of one query cluster that scores every store entry, and the embedding-file
+reader that parses and checks one line at a time.
 """
 from __future__ import annotations
 
@@ -22,6 +23,20 @@ from clustermatch.clustering import Clustering, KSearchConfig, WardMerge, silhou
 from clustermatch.formats import EMBEDDING_HEADER_PREFIX, FormatError
 from clustermatch.geometry import Embedding, as_matrix, pairwise_distances
 from clustermatch.matching import CENTROID, make_cluster_embedding, match_probabilities, truncate_top_alpha
+
+
+def euclidean_distance(a, b) -> float:
+    """Euclidean distance between two vectors of equal dimension, by a direct sum of squares."""
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
+
+
+def centroid(members) -> tuple[float, ...]:
+    """Component-wise mean of a non-empty list of vectors, by direct sums."""
+    if len(members) == 0:
+        raise ValueError("centroid of an empty member list is undefined")
+    return tuple(sum(float(m[d]) for m in members) / len(members) for d in range(len(members[0])))
 
 
 def brute_v_measure(true_labels, assignments, beta=1.0):

@@ -351,8 +351,20 @@ class TestErrorHandling:
         self.assert_one_error_line(capsys, "n=50", "GiB")
         assert not (tmp_path / "cl.json").exists()
 
+    @pytest.mark.parametrize("flags", [["--auto-k"], ["--k", "2"], ["--algo", "ap"]], ids=["auto-k", "k2", "ap"])
+    def test_overflowing_distances(self, tmp_path, capsys, flags):
+        emb = tmp_path / "far.emb"
+        rows = ["1e200,0", "-1e200,3", "1e200,1", "-1e200,4"]
+        emb.write_text("#emb v1 dim=2\n" + "".join(f"f{i}\tv\t{i}\tx\t{row}\n" for i, row in enumerate(rows)))
+        capsys.readouterr()
+        assert run(["cluster", "--in", emb, *flags, "--out", tmp_path / "cl.json"]) == 1
+        self.assert_one_error_line(capsys, "1e+200", "overflow")
+        assert not (tmp_path / "cl.json").exists()
+
+
 class TestOneDistanceMatrixPerRun:
-    """A clustering run computes one distance matrix, and on this world one Ward cut and one silhouette."""
+    """A clustering run computes one distance matrix and, on this world, one Ward cut. The K
+    search's silhouette report comes from its sweep, so only a fixed-k run calls ``silhouette``."""
 
     def count(self, monkeypatch, owner, attr):
         """Count calls to owner.attr, rebinding a function under its name in every clustermatch module."""
@@ -382,6 +394,7 @@ class TestOneDistanceMatrixPerRun:
         ids=["cluster", "label", "match", "cluster-k3", "label-k3"],
     )
     def test_calls(self, argv, tmp_path, monkeypatch):
+        fixed_k = "--k" in argv
         emb, store = tmp_path / "faces.emb", tmp_path / "store.json"
         run(SYNTH + ["--out", emb])
         assert run(["label", "--in", emb, "--auto-k", "--out", store]) == 0
@@ -390,5 +403,5 @@ class TestOneDistanceMatrixPerRun:
         cuts = self.count(monkeypatch, WardTree, "cut")
         paths = {"emb": emb, "store": store, "out": tmp_path / "out"}
         assert run([a.format(**paths) for a in argv]) == 0
-        assert len(pairwise) == 1
-        assert len(cuts) == len(scored) == 1
+        assert len(pairwise) == len(cuts) == 1
+        assert len(scored) == (1 if fixed_k else 0)

@@ -188,6 +188,13 @@ class TestWard:
         assert given.merges == ward_tree(data).merges  # WardMerge equality compares the float costs exactly
         assert np.array_equal(dist, before)
 
+    def test_overflowing_merge_cost_raises(self):
+        # finite distances whose Lance-Williams updates overflow: the third merge would cost inf
+        dist = np.full((4, 4), 1.2e154)
+        np.fill_diagonal(dist, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            ward_tree(np.zeros((4, 1)), dist=dist)
+
 
 class TestSilhouette:
     def test_hand_computed_1d_example(self):

@@ -1,13 +1,15 @@
 """Fast paths against direct references: vectorised matching against per-entry
 and per-cluster scoring, the screened batch match against scoring every entry,
-the Ward K search against a cut and a silhouette per k,
-the live-row Ward loop against the whole-matrix greedy loop, and the tiled
-distance matrix against the untiled one."""
+the Ward K search against a cut and a silhouette per k, the silhouette against
+the brute-force oracle, the live-row Ward loop against the whole-matrix greedy
+loop, and the tiled distance matrix against the untiled one."""
+import math
+
 import numpy as np
 import pytest
 
 from clustermatch import clustering as clustering_module
-from clustermatch.clustering import KSearchConfig, estimate_clustering, silhouette, ward_tree
+from clustermatch.clustering import Clustering, KSearchConfig, estimate_clustering, silhouette, ward_tree
 from clustermatch.geometry import pairwise_distances
 from clustermatch import matching
 from clustermatch.matching import (
@@ -23,7 +25,14 @@ from clustermatch.pipeline import build_labeled_store, recognize, run_clustering
 from clustermatch.synth import SynthConfig, generate_synthetic, sample_more
 
 from . import oracles
-from .oracles import full_match, greedy_ward_merges, per_k_ward_search, union_find_cut, untiled_pairwise_distances
+from .oracles import (
+    brute_silhouette,
+    full_match,
+    greedy_ward_merges,
+    per_k_ward_search,
+    union_find_cut,
+    untiled_pairwise_distances,
+)
 from .test_acceptance import harness, query_clusters  # noqa: F401  (harness is a fixture)
 
 
@@ -292,52 +301,30 @@ def test_ward_k_search_equals_per_k_search(name, shared_ward_trees):
             assert got.num_clusters == 1  # the best score is below 0.2
 
 
-def test_close_scores_are_redecided_exactly(monkeypatch):
-    data = integer_grid()
-    original = clustering_module.silhouette
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(clustering_module, "silhouette", counted)
-    for config in (KSearchConfig(patience=1), KSearchConfig(patience=5)):
-        calls.clear()
-        got, want = estimate_clustering(data, "ward", config), per_k_ward_search(data, config)
-        assert got == want and got.silhouette == want.silhouette
-        assert len(calls) > 1  # the winner, plus at least one comparison re-decided on exact scores
+# the K search cases, plus a non-blob case large enough for several distance-sum blocks
+SWEEP_CASES = {
+    **{name: build for name, (build, _) in K_SEARCH_CASES.items()},
+    "integer-grid-1200": lambda: np.random.default_rng(10).integers(0, 6, size=(1200, 3)).astype(float),
+    # tied means that round apart: a b kept from the split cluster's row would be off by an ulp
+    "scaled-grid": lambda: np.random.default_rng(0).integers(0, 3, size=(150, 2)) * 0.3,
+}
 
 
-def test_rounding_sized_errors_in_sweep_scores_change_no_decision(monkeypatch):
-    """Sweep scores pushed down by 2*n*eps at even k and n*eps at odd k, no more than rounding
-    could move them, still give the exact search's choices (here k = 15 ties k = 14 and must
-    not win); the exact score decides the collapse."""
-    data = integer_grid()
-    shift = data.shape[0] * np.finfo(np.float64).eps
-    sweep = clustering_module._ward_sweep
-
-    def skewed(tree, dist, kmax):
-        for k, score, clustering in sweep(tree, dist, kmax):
-            yield k, score - (2 - k % 2) * shift, clustering
-
-    monkeypatch.setattr(clustering_module, "_ward_sweep", skewed)
-    winner = per_k_ward_search(data, KSearchConfig(min_silhouette=0.0)).silhouette.score
-    for config in (KSearchConfig(patience=1), KSearchConfig(patience=5), KSearchConfig(min_silhouette=winner)):
-        got, want = estimate_clustering(data, "ward", config), per_k_ward_search(data, config)
-        assert got == want and got.silhouette == want.silhouette
-    assert got.num_clusters > 1  # a best score equal to min_silhouette does not collapse
-
-
-@pytest.mark.parametrize("name", ["integer-grid", "duplicated", "blobs-300-seed1"])
-def test_sweep_scores_are_within_rounding_of_silhouette(name):
-    """The premise of the re-decision tolerance (32*n*eps on a difference of two scores)."""
-    data = K_SEARCH_CASES[name][0]()
-    n = data.shape[0]
-    dist = clustering_module.pairwise_distances(data)
+@pytest.mark.parametrize("name", list(SWEEP_CASES))
+def test_sweep_scores_equal_silhouette_of_cut(name):
+    """Every sweep score, coefficient, a and b is bit-equal to ``silhouette`` of the cut."""
+    data = SWEEP_CASES[name]()
+    dist = pairwise_distances(data)
     tree = ward_tree(data, dist=dist)
-    for k, score, _ in clustering_module._ward_sweep(tree, dist, min(n, 40)):
-        assert abs(score - silhouette(data, tree.cut(k), dist=dist).score) <= 3 * n * np.finfo(np.float64).eps
+    for k, score, keep in clustering_module._ward_sweep(tree, dist, min(tree.n_points, 80)):
+        s, a, b = keep()
+        report = silhouette(data, tree.cut(k), dist=dist)
+        assert score == report.score
+        assert (tuple(s.tolist()), tuple(a.tolist()), tuple(b.tolist())) == (
+            report.coefficients,
+            report.intra,
+            report.nearest,
+        )
 
 
 @pytest.mark.parametrize(
@@ -396,3 +383,17 @@ def test_ward_heights_equal_scipy():
     costs = sorted(merge.cost for merge in ward_tree(data).merges)
     heights = hierarchy.ward(data)[:, 2]
     assert np.sqrt(2 * np.asarray(costs)) == pytest.approx(np.sort(heights), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 128, 256, 257, 300])
+def test_silhouette_equals_brute_silhouette(n):
+    """On integer points, whose distances both sides compute exactly, every coefficient is bit-equal to the oracle's."""
+    rng = np.random.default_rng(n)
+    data = rng.integers(-3, 4, size=(n, 3)).astype(float)
+    k = int(rng.integers(2, min(8, n) + 1))
+    assign = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    clustering = Clustering(assignments=tuple(assign.tolist()), num_clusters=k)
+    points = [tuple(p) for p in data.tolist()]
+    assert pairwise_distances(data).tolist() == [[math.dist(p, q) for q in points] for p in points]
+    report = silhouette(data, clustering)
+    assert list(report.coefficients) == brute_silhouette(points, list(assign.tolist()))

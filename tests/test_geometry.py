@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clustermatch.geometry import (
-    Embedding,
-    EmbeddingSet,
-    as_matrix,
-    centroid,
-    euclidean_distance,
-    pairwise_distances,
-    rmse,
-)
+from clustermatch.geometry import Embedding, EmbeddingSet, as_matrix, pairwise_distances, rmse
+
+from .oracles import centroid, euclidean_distance
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -172,6 +166,12 @@ class TestPairwiseDistances:
         for i in range(8):
             for j in range(8):
                 assert d[i, j] == pytest.approx(euclidean_distance(mat[i], mat[j]), abs=1e-9)
+
+    def test_overflowing_scale_is_rejected(self):
+        with pytest.raises(ValueError, match=r"up to 1e\+200 in magnitude"):
+            pairwise_distances(np.array([[1e200, 0.0], [-1e200, 3.0]]))
+        # 4 * max ||x||^2 = 4e306 is finite: the distances are too
+        assert pairwise_distances(np.array([[1e153, 0.0], [-1e153, 3.0]]))[0, 1] == 2e153
 
 
 def test_operations_are_deterministic():
