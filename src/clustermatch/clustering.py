@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import as_matrix, pairwise_distances, squared_norms
+from .geometry import as_matrix, mirror_upper, pairwise_distances, squared_norms
 
 DEFAULT_PATIENCE = 5
 DEFAULT_MIN_SILHOUETTE = 0.2
@@ -343,7 +343,6 @@ class WardTree:
         return Clustering(assignments=tuple(assignments.tolist()), num_clusters=k)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing cost raises below instead
 def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
     """Build the full Ward dendrogram: greedily merge the pair with the
     minimum increase in total within-cluster variance, updating inter-cluster
@@ -352,18 +351,54 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
     Ties break on the lexicographically smallest (min rep, max rep) pair,
     where a cluster's representative is its smallest original point index.
     ``dist`` is the data's ``pairwise_distances``, computed here when not given.
-    A merge cost that overflows to inf or nan raises ValueError, so no merge
-    joins a cluster to itself.
+    A writable C-ordered float64 ``dist`` is borrowed as the loop's workspace:
+    its strict upper triangle is kept aside (n(n-1)/2 floats) and written back,
+    mirrored below a zero diagonal, before this returns or raises, so the caller
+    gets the same bits back. Any other ``dist`` is copied. A merge cost that
+    overflows to inf or nan raises ValueError, so no merge joins a cluster to itself.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
-    merges: list[WardMerge] = []
     if n == 1:
         return WardTree(n_points=1, merges=())
 
+    upper = None
     if dist is None:
-        dist = pairwise_distances(mat)
-    D = dist * dist
+        work = pairwise_distances(mat)
+    elif dist.dtype == np.float64 and dist.flags.c_contiguous and dist.flags.writeable:
+        work, upper = dist, np.empty(n * (n - 1) // 2)
+        for row, saved in _upper_rows(work, upper):
+            saved[...] = row
+    else:
+        work = np.array(dist, dtype=np.float64, order="C")
+    try:
+        merges = _ward_merges(work)
+    finally:
+        if upper is not None:
+            for row, saved in _upper_rows(work, upper):
+                row[...] = saved
+            mirror_upper(work)
+            np.fill_diagonal(work, 0.0)
+    return WardTree(n_points=n, merges=tuple(merges))
+
+
+def _upper_rows(square: np.ndarray, upper: np.ndarray):
+    """Yield each row's strict upper part square[i, i+1:] with its slice of ``upper``,
+    the condensed upper triangle that holds those parts one after another."""
+    n, start = square.shape[0], 0
+    for i in range(n - 1):
+        end = start + n - 1 - i
+        yield square[i, i + 1 :], upper[start:end]
+        start = end
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing cost raises below instead
+def _ward_merges(D: np.ndarray) -> list[WardMerge]:
+    """The greedy Ward merges of the points whose distances the n x n C-ordered
+    array D holds. D becomes the loop's cost matrix and is left overwritten."""
+    n = D.shape[0]
+    merges: list[WardMerge] = []
+    D *= D
     D *= 0.5  # size-1 clusters: (1*1)/(1+1) * ||ci-cj||^2
     np.fill_diagonal(D, np.inf)
     buffer = D.reshape(-1)
@@ -433,7 +468,7 @@ def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:
             reps, sizes, rowmin, rowarg = reps[keep], sizes[keep], rowmin[keep], position[rowarg[keep]]
             penalty, new, scratch = np.zeros(live), np.empty(live), np.empty(live)
 
-    return WardTree(n_points=n, merges=tuple(merges))
+    return merges
 
 
 # rows the Ward loop's compaction moves at a time, which bounds its temporary
@@ -538,14 +573,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-# float64 n x n arrays each algorithm holds at its peak: the distances, plus the
-# cost matrix for Ward; affinity propagation's messages and their temporaries
-_PEAK_MATRICES = {"ward": 2, "kmeans": 1, "affinity_propagation": 10}
+# float64 values in the n x n arrays each algorithm holds at its peak: the distances,
+# which Ward turns into its cost matrix while it keeps their upper triangle aside;
+# affinity propagation's messages and their temporaries
+_PEAK_FLOATS = {
+    "ward": lambda n: n * n + n * (n - 1) // 2,
+    "kmeans": lambda n: n * n,
+    "affinity_propagation": lambda n: 10 * n * n,
+}
 
 
 def _check_memory(n: int, algorithm: str) -> None:
     """Raise ValueError when the n x n arrays ``algorithm`` holds at its peak exceed physical memory."""
-    needed, available = _PEAK_MATRICES[algorithm] * n * n * 8, _physical_memory()
+    needed, available = _PEAK_FLOATS[algorithm](n) * 8, _physical_memory()
     if needed > available:
         raise ValueError(
             f"clustering n={n} points needs {needed / 2**30:.1f} GiB for its n x n matrices, "
@@ -578,7 +618,7 @@ def _ward_sweep(tree: WardTree, dist: np.ndarray, kmax: int):
     look at every row again.
     """
     n = tree.n_points
-    sums = np.empty((kmax, n))  # sums[c, i]: distance from point i to cluster c; rows past k stay untouched
+    sums = np.empty((min(kmax, 8), n))  # sums[c, i]: distance from point i to cluster c, for c < k
     counts = np.empty(kmax)
     own = np.zeros(n, dtype=np.intp)
     points = np.arange(n)
@@ -586,6 +626,10 @@ def _ward_sweep(tree: WardTree, dist: np.ndarray, kmax: int):
     near = np.zeros(n, dtype=np.intp)  # the row each point's b comes from
     row_of = {2 * n - 2: 0}  # the sums row of each current cluster's node
     for k in range(2, kmax + 1):
+        if k > len(sums):  # double the rows rather than reserve kmax of them up front
+            grown = np.empty((min(2 * len(sums), kmax), n))
+            grown[: len(sums)] = sums
+            sums = grown
         split, added = row_of.pop(2 * n - k), k - 1
         parts = [np.sort(tree.points(node)) for node in tree.children[n - k]]
         for node, part, row in zip(tree.children[n - k].tolist(), parts, (split, added)):

@@ -10,7 +10,7 @@ import numpy as np
 
 Vector = Sequence[float]
 
-# rows, and edge of the square tiles, that pairwise_distances handles at a time
+# rows, and edge of the square tiles, that pairwise_distances and mirror_upper handle at a time
 DISTANCE_BLOCK = 256
 
 
@@ -189,31 +189,38 @@ def squared_norms(mat: np.ndarray) -> np.ndarray:
     return sq
 
 
+def mirror_upper(d: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square array ``d`` onto its lower
+    triangle, so that d[j, i] = d[i, j] for i < j. Square tiles keep the
+    transposed reads in cache; the diagonal is left as it is."""
+    n = d.shape[0]
+    below = np.tri(DISTANCE_BLOCK, k=-1, dtype=bool)
+    for r in range(0, n, DISTANCE_BLOCK):
+        tile = d[r : r + DISTANCE_BLOCK, r : r + DISTANCE_BLOCK]
+        m = tile.shape[0]
+        np.copyto(tile, tile.T, where=below[:m, :m])
+        for c in range(r + DISTANCE_BLOCK, n, DISTANCE_BLOCK):
+            d[c : c + DISTANCE_BLOCK, r : r + DISTANCE_BLOCK] = d[r : r + DISTANCE_BLOCK, c : c + DISTANCE_BLOCK].T
+
+
 def pairwise_distances(data: np.ndarray) -> np.ndarray:
     """All-pairs Euclidean distances for an (n, d) matrix, as a symmetric (n, n) array
     with an exactly zero diagonal. The distances are computed inside the Gram
-    matrix's buffer, so one n x n array is alive, plus row blocks and tiles.
+    matrix's buffer, so one n x n array is alive, plus row blocks and tiles:
+    each pair once, at or above the diagonal, then mirrored below it.
     Data whose squared distances would overflow raise ValueError (``squared_norms``)."""
-    mat = as_matrix(data)
+    # one memory layout gives one Gram matrix, and so the same bits, whatever the
+    # caller's layout; for C order numpy's mat @ mat.T is exactly symmetric
+    mat = np.ascontiguousarray(as_matrix(data))
     sq = squared_norms(mat)
     d = mat @ mat.T
     n = d.shape[0]
-    # every element as sqrt(max((sq_i + sq_j) - 2 * gram_ij, 0))
+    # every element at or above the diagonal as sqrt(max((sq_i + sq_j) - 2 * gram_ij, 0))
     for r in range(0, n, DISTANCE_BLOCK):
-        rows = d[r : r + DISTANCE_BLOCK]
+        rows = d[r : r + DISTANCE_BLOCK, r:]
         rows *= 2.0
-        np.subtract(np.add.outer(sq[r : r + DISTANCE_BLOCK], sq), rows, out=rows)
+        np.subtract(np.add.outer(sq[r : r + DISTANCE_BLOCK], sq[r:]), rows, out=rows)
         np.sqrt(np.maximum(rows, 0.0, out=rows), out=rows)
-    # symmetrize away dot-product rounding noise: both tiles of a pair get
-    # (d_ij + d_ji) * 0.5, which is symmetric because addition commutes;
-    # square tiles keep the transposed reads in cache
-    for r in range(0, n, DISTANCE_BLOCK):
-        for c in range(r, n, DISTANCE_BLOCK):
-            upper = d[r : r + DISTANCE_BLOCK, c : c + DISTANCE_BLOCK]
-            lower = d[c : c + DISTANCE_BLOCK, r : r + DISTANCE_BLOCK]
-            mean = upper + lower.T
-            mean *= 0.5
-            upper[...] = mean
-            lower[...] = mean.T
+    mirror_upper(d)
     np.fill_diagonal(d, 0.0)
     return d

@@ -14,7 +14,7 @@ from clustermatch.clustering import (
     silhouette,
     ward_tree,
 )
-from clustermatch.geometry import pairwise_distances
+from clustermatch.geometry import DISTANCE_BLOCK, pairwise_distances
 from clustermatch.pipeline import run_clustering
 
 from .oracles import brute_silhouette, ward_merge_cost, wcss
@@ -192,8 +192,23 @@ class TestWard:
         # finite distances whose Lance-Williams updates overflow: the third merge would cost inf
         dist = np.full((4, 4), 1.2e154)
         np.fill_diagonal(dist, 0.0)
+        before = dist.copy()
         with pytest.raises(ValueError, match="not finite"):
             ward_tree(np.zeros((4, 1)), dist=dist)
+        assert np.array_equal(dist, before)
+
+    @pytest.mark.parametrize("layout", ["read-only", "fortran"])
+    def test_distances_that_cannot_be_borrowed_are_copied(self, layout):
+        data = np.random.default_rng(15).normal(size=(40, 5))
+        dist = pairwise_distances(data)
+        expected = ward_tree(data, dist=dist.copy()).merges
+        if layout == "read-only":
+            dist.flags.writeable = False
+        else:
+            dist = np.asfortranarray(dist)
+        before = dist.copy()
+        assert ward_tree(data, dist=dist).merges == expected
+        assert np.array_equal(dist, before)
 
 
 class TestSilhouette:
@@ -327,7 +342,7 @@ class TestMemoryCheck:
         return np.random.default_rng(37).normal(size=(10, 2))
 
     def test_too_large_run_fails_before_any_distance_matrix(self, data, monkeypatch):
-        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 2 * 10 * 10 * 8 - 1)
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: (10 * 10 + 45) * 8 - 1)
 
         def no_matrix(_):
             raise AssertionError("distance matrix allocated before the memory check")
@@ -336,13 +351,31 @@ class TestMemoryCheck:
         with pytest.raises(ValueError, match=r"n=10 points needs 0\.0 GiB"):
             estimate_clustering(data, "ward")
 
-    def test_counts_two_matrices_for_ward_and_one_for_kmeans(self, data, monkeypatch):
-        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 10 * 10 * 8)
+    def test_counts_a_matrix_and_a_triangle_for_ward_and_one_matrix_for_kmeans(self, data, monkeypatch):
+        # Ward holds the 10 x 10 distances, as its cost matrix, and their 45-float upper triangle
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: (10 * 10 + 45) * 8 - 1)
         with pytest.raises(ValueError):
             estimate_clustering(data, "ward")
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 10 * 10 * 8)
         assert estimate_clustering(data, "kmeans").n_points == 10
-        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 2 * 10 * 10 * 8)
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: (10 * 10 + 45) * 8)
         assert estimate_clustering(data, "ward").n_points == 10
+
+    def test_ward_search_peaks_below_a_matrix_and_a_triangle(self):
+        """Ward borrows the distances as its cost matrix, and the sweep's distance
+        sums grow with the k it reaches, so no second n x n array is allocated."""
+        n = 1000
+        rng = np.random.default_rng(39)
+        data = rng.normal(size=(20, 16))[rng.integers(0, 20, n)] * 10 + rng.normal(size=(n, 16)) * 0.1
+        tracemalloc.start()
+        try:
+            assert estimate_clustering(data, "ward").num_clusters == 20
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # plus the row blocks that pairwise_distances and the Ward loop's compaction move at a time
+        block_temporaries = 2 * DISTANCE_BLOCK * n * 8
+        assert peak < (n * n + n * (n - 1) // 2) * 8 + block_temporaries
 
     def test_affinity_propagation_is_checked_before_it_allocates(self, monkeypatch):
         n = 200

@@ -370,11 +370,34 @@ def test_ward_tree_equals_greedy_loop(name):
     assert ward_tree(data, dist=dist).merges == greedy_ward_merges(dist)
 
 
+@pytest.mark.parametrize("name", list(WARD_TREE_CASES))
+def test_ward_tree_hands_the_distances_back(name):
+    """``ward_tree`` works inside the caller's distance matrix and restores every bit of it."""
+    data = WARD_TREE_CASES[name]()
+    dist = pairwise_distances(data)
+    before = dist.copy()
+    ward_tree(data, dist=dist)
+    assert np.array_equal(dist, before)
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
 def test_tiled_distances_equal_untiled(n, offset):
     data = np.random.default_rng(n).normal(size=(n, 8)) + offset
     assert np.array_equal(pairwise_distances(data), untiled_pairwise_distances(data))
+
+
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "strided": lambda data: np.repeat(data, 2, axis=1)[:, ::2],
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+def test_data_layout_does_not_change_the_distances(n, layout):
+    data = np.random.default_rng(n).normal(size=(n, 8)) + 1e3
+    assert np.array_equal(pairwise_distances(LAYOUTS[layout](data)), pairwise_distances(data))
 
 
 def test_ward_heights_equal_scipy():
