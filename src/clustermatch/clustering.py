@@ -45,9 +45,6 @@ class Clustering:
     def n_points(self) -> int:
         return len(self.assignments)
 
-    def members(self, cluster: int) -> list[int]:
-        return [i for i, a in enumerate(self.assignments) if a == cluster]
-
     def member_groups(self) -> list[np.ndarray]:
         """Every cluster's member indices in ascending order, from one stable sort of the assignments."""
         assign = np.asarray(self.assignments)
@@ -78,8 +75,6 @@ class SilhouetteReport:
     """Per-sample silhouette coefficients and their mean."""
 
     coefficients: tuple[float, ...]
-    intra: tuple[float, ...]
-    nearest: tuple[float, ...]
     score: float
 
 
@@ -110,14 +105,11 @@ def _kmeans_pp_init(mat: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def kmeans(
-    data,
-    k: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    init: str = "k-means++",
-) -> Clustering:
-    """Lloyd's algorithm with k-means++ seeding (or plain random init).
+_KMEANS_MAX_ITER = 300
+
+
+def kmeans(data, k: int, seed: int = 0) -> Clustering:
+    """Lloyd's algorithm with k-means++ seeding, for at most 300 iterations.
 
     Always returns exactly k non-empty clusters: an emptied cluster is reseeded
     with the point farthest from its current centroid. The within-cluster
@@ -129,17 +121,11 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if k > n:
         raise ValueError(f"k={k} exceeds number of points n={n}")
-    rng = np.random.default_rng(seed)
-    if init == "k-means++":
-        centers = _kmeans_pp_init(mat, k, rng)
-    elif init == "random":
-        centers = mat[rng.choice(n, size=k, replace=False)]
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    centers = _kmeans_pp_init(mat, k, np.random.default_rng(seed))
 
     prev_obj = np.inf
     assign = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = (
             np.sum(mat**2, axis=1)[:, None]
             - 2.0 * (mat @ centers.T)
@@ -519,19 +505,17 @@ def _nearest(sums: np.ndarray, counts: np.ndarray, own: np.ndarray) -> tuple[np.
     return mean_to[row, columns], row
 
 
-def _coefficients(own_sums: np.ndarray, own_count: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Silhouette coefficients s and a, from each point's distance sum to its own cluster,
-    that cluster's size and b; a and s are 0 for a singleton, s is 0 where a = b = 0."""
+def _coefficients(own_sums: np.ndarray, own_count: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Silhouette coefficients s = (b - a) / max(a, b), from each point's distance sum to
+    its own cluster, that cluster's size and b; s is 0 for a singleton and where a = b = 0."""
     a = np.where(own_count > 1, own_sums / np.maximum(own_count - 1, 1), 0.0)
     denom = np.maximum(a, b)
     s = np.where(denom > 0, (b - a) / np.where(denom > 0, denom, 1.0), 0.0)
-    return np.where(own_count > 1, s, 0.0), a
+    return np.where(own_count > 1, s, 0.0)
 
 
-def _report(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> SilhouetteReport:
-    return SilhouetteReport(
-        coefficients=tuple(s.tolist()), intra=tuple(a.tolist()), nearest=tuple(b.tolist()), score=float(s.mean())
-    )
+def _report(s: np.ndarray) -> SilhouetteReport:
+    return SilhouetteReport(coefficients=tuple(s.tolist()), score=float(s.mean()))
 
 
 def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> SilhouetteReport:
@@ -560,8 +544,7 @@ def silhouette(data, clustering: Clustering, dist: np.ndarray | None = None) -> 
         _distance_sums(dist, members, row)
     counts = np.array([len(members) for members in groups], dtype=np.float64)
     b, _ = _nearest(sums, counts, own)
-    s, a = _coefficients(sums[own, np.arange(n)], counts[own], b)
-    return _report(s, a, b)
+    return _report(_coefficients(sums[own, np.arange(n)], counts[own], b))
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +589,8 @@ def _single_cluster(n: int) -> Clustering:
 
 
 def _ward_sweep(tree: WardTree, dist: np.ndarray, kmax: int):
-    """Yield (k, score, keep) for k = 2..kmax: score is the silhouette score of
-    ``tree.cut(k)`` and keep() gives its coefficients, a and b for ``_report``.
+    """Yield (k, score, coefficients) for k = 2..kmax: the silhouette score and
+    coefficients of ``tree.cut(k)``.
 
     Going from k - 1 to k clusters undoes merge n - k. Both of its children sum
     their distances over their points in ascending order, as ``silhouette``
@@ -643,17 +626,17 @@ def _ward_sweep(tree: WardTree, dist: np.ndarray, kmax: int):
             closer = mean < b
             b[closer], near[closer] = mean[closer], row
         b[rescan], near[rescan] = _nearest(sums[:k, rescan], counts[:k], own[rescan])
-        s, a = _coefficients(sums[own, points], counts[own], b)
-        yield k, float(s.mean()), lambda: (s, a, b.copy())
+        s = _coefficients(sums[own, points], counts[own], b)
+        yield k, float(s.mean()), s
 
 
 def _kmeans_candidates(mat: np.ndarray, dist: np.ndarray, kmax: int, seed: int):
-    """Yield (k, score, keep) for k = 2..kmax: k-means at each k with its silhouette
-    score, and keep() giving that clustering with its silhouette report."""
+    """Yield (k, score, clustering) for k = 2..kmax: k-means at each k, carrying
+    its silhouette report, and that report's score."""
     for k in range(2, kmax + 1):
         clustering = kmeans(mat, k, seed=seed)
         report = silhouette(mat, clustering, dist=dist)
-        yield k, report.score, lambda: replace(clustering, silhouette=report)
+        yield k, report.score, replace(clustering, silhouette=report)
 
 
 def estimate_clustering(
@@ -691,9 +674,9 @@ def estimate_clustering(
 
     best_k, best_score, kept = None, -np.inf, None
     misses = 0
-    for k, score, keep in candidates:
+    for k, score, result in candidates:
         if score > best_score:
-            best_k, best_score, kept = k, score, keep()
+            best_k, best_score, kept = k, score, result
             misses = 0
         else:
             misses += 1
@@ -702,4 +685,4 @@ def estimate_clustering(
 
     if best_k is None or best_score < config.min_silhouette:
         return _single_cluster(n)
-    return kept if algorithm == "kmeans" else replace(tree.cut(best_k), silhouette=_report(*kept))
+    return kept if algorithm == "kmeans" else replace(tree.cut(best_k), silhouette=_report(kept))

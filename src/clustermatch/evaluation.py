@@ -189,13 +189,13 @@ def match_metrics(registered_results, nonregistered_decisions) -> MatchMetrics:
         matched = 0
         same_label = 0
         label_present = 0
-        for true_label, decision, matched_label, matched_label_set in registered_results:
+        for true_label, decision, matched_label, member_labels in registered_results:
             if not decision.matched:
                 continue
             matched += 1
             if matched_label is not None and true_label == matched_label:
                 same_label += 1
-            if matched_label_set is not None and true_label in matched_label_set:
+            if member_labels is not None and true_label in member_labels:
                 label_present += 1
         m1 = matched / nv
         m2 = same_label / nv

@@ -88,6 +88,19 @@ def _string(value) -> str:
     return value
 
 
+def _positive_int(value) -> int:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{value!r} is not a positive JSON integer")
+    return value
+
+
+def _version(path: str | Path, doc: dict, expected: int, what: str) -> None:
+    """A header's version must be the JSON integer ``expected``: not 1.0, not true."""
+    version = doc.get("version")
+    if type(version) is not int or version != expected:
+        raise FormatError(f"{path}: unsupported {what} version {version!r}")
+
+
 def _strings(value) -> tuple[str, ...]:
     return tuple(_string(x) for x in _list(value))
 
@@ -301,9 +314,8 @@ def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
     doc = _read_json_object(path)
     if doc.get("format") != "clustermatch-store":
         raise FormatError(f"{path}: not a clustermatch store file")
-    if doc.get("version") != STORE_VERSION:
-        raise FormatError(f"{path}: unsupported store version {doc.get('version')!r}")
-    dimension = _field(path, "top level", doc, "dimension", int)
+    _version(path, doc, STORE_VERSION, "store")
+    dimension = _field(path, "top level", doc, "dimension", _positive_int)
     entries = _field(path, "top level", doc, "entries", _list)
     for index, e in enumerate(entries):
         if not isinstance(e, dict):
@@ -323,7 +335,7 @@ def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
         best_silhouette_vectors=_matrix(path, entries, "best_silhouette_vector", dimension),
     )
     try:
-        store = LabeledClusterSet.from_arrays(**columns)
+        store = LabeledClusterSet(**columns)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return store, doc.get("metadata", {})
@@ -356,10 +368,11 @@ def read_clustering(path: str | Path) -> tuple[dict[str, int], int]:
     doc = _read_json_object(path)
     if doc.get("format") != "clustermatch-clustering":
         raise FormatError(f"{path}: not a clustering file")
-    num_clusters = _field(path, "top level", doc, "num_clusters", int)
+    _version(path, doc, CLUSTERING_VERSION, "clustering")
+    num_clusters = _field(path, "top level", doc, "num_clusters", _positive_int)
     assignment_by_id = {}
     for index, pair in enumerate(_field(path, "top level", doc, "assignments", _list)):
-        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], int)):
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and type(pair[1]) is int):
             raise FormatError(f"{path}: assignment {index}: expected [embedding id, cluster index], got {pair!r}")
         assignment_by_id[pair[0]] = pair[1]
     return assignment_by_id, num_clusters
@@ -390,7 +403,10 @@ def read_face_labels(path: str | Path) -> list[tuple[str, int | None, str]]:
             raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
         face_id, frame, label = fields
         try:
-            out.append((face_id, int(frame) if frame else None, label))
+            frame_index = int(frame) if frame else None
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad frame index {frame!r}") from None
+        if frame_index is not None and frame_index < 0:
+            raise FormatError(f"{path}:{lineno}: frame_index must be non-negative")
+        out.append((face_id, frame_index, label))
     return out

@@ -9,8 +9,7 @@ threshold.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -23,32 +22,8 @@ BEST_SILHOUETTE = "best_silhouette_sample"
 
 DEFAULT_ALPHA = 5
 DEFAULT_THRESHOLD = 0.5
-DEFAULT_RMSE_EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class LabeledCluster:
-    """One reference entry: a label, its member ids, and both cluster-embedding variants."""
-
-    label: str
-    member_ids: tuple[str, ...]
-    centroid: tuple[float, ...]
-    best_silhouette_id: str
-    best_silhouette_vector: tuple[float, ...]
-    label_histogram: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError("cluster label must be non-empty")
-        if len(self.centroid) != len(self.best_silhouette_vector):
-            raise ValueError("cluster embedding dimensions disagree")
-
-    @property
-    def label_set(self) -> frozenset[str]:
-        """All distinct member labels present in the cluster."""
-        if self.label_histogram:
-            return frozenset(self.label_histogram)
-        return frozenset({self.label})
+# the inverse-RMSE similarity clamps the RMSE below at this value
+RMSE_EPSILON = 1e-12
 
 
 class LabeledClusterSet:
@@ -56,45 +31,13 @@ class LabeledClusterSet:
 
     Entry i is item i of ``labels``, ``member_ids``, ``best_silhouette_ids`` and
     ``histograms``, and row i of the read-only (S, d) float64 matrices
-    ``centroids`` and ``best_silhouette_vectors``. ``entries`` presents the same
-    data as ``LabeledCluster`` objects, built on first use. A store is immutable.
+    ``centroids`` and ``best_silhouette_vectors``, which are copied from the
+    matrices given. A store is immutable.
     """
 
-    def __init__(self, entries, dimension: int) -> None:
-        entries = tuple(entries)
-        for index, e in enumerate(entries):
-            if len(e.centroid) != dimension:
-                raise ValueError(
-                    f"entry {index}: cluster {e.label!r} has dimension {len(e.centroid)}, store has {dimension}"
-                )
-        self._fill(
-            labels=[e.label for e in entries],
-            member_ids=[e.member_ids for e in entries],
-            best_silhouette_ids=[e.best_silhouette_id for e in entries],
-            histograms=[e.label_histogram for e in entries],
-            centroids=np.array([e.centroid for e in entries], dtype=np.float64).reshape(len(entries), dimension),
-            best_silhouette_vectors=np.array(
-                [e.best_silhouette_vector for e in entries], dtype=np.float64
-            ).reshape(len(entries), dimension),
-        )
-
-    @classmethod
-    def from_arrays(
-        cls, labels, member_ids, best_silhouette_ids, histograms, centroids, best_silhouette_vectors
-    ) -> LabeledClusterSet:
-        """A store from per-entry lists and the two (S, d) matrices, copied as float64."""
-        store = cls.__new__(cls)
-        store._fill(
-            labels=labels,
-            member_ids=member_ids,
-            best_silhouette_ids=best_silhouette_ids,
-            histograms=histograms,
-            centroids=np.array(centroids, dtype=np.float64),
-            best_silhouette_vectors=np.array(best_silhouette_vectors, dtype=np.float64),
-        )
-        return store
-
-    def _fill(self, labels, member_ids, best_silhouette_ids, histograms, centroids, best_silhouette_vectors) -> None:
+    def __init__(self, labels, member_ids, best_silhouette_ids, histograms, centroids, best_silhouette_vectors) -> None:
+        centroids = np.array(centroids, dtype=np.float64)
+        best_silhouette_vectors = np.array(best_silhouette_vectors, dtype=np.float64)
         size = len(labels)
         if centroids.ndim != 2 or centroids.shape[1] < 1:
             raise ValueError(f"store vectors must form an (S, d) matrix with d >= 1, got shape {centroids.shape}")
@@ -139,27 +82,6 @@ class LabeledClusterSet:
     def dimension(self) -> int:
         return self.centroids.shape[1]
 
-    @cached_property
-    def entries(self) -> tuple[LabeledCluster, ...]:
-        return tuple(
-            LabeledCluster(
-                label=label,
-                member_ids=ids,
-                centroid=tuple(centroid),
-                best_silhouette_id=best_id,
-                best_silhouette_vector=tuple(best_vector),
-                label_histogram=histogram,
-            )
-            for label, ids, centroid, best_id, best_vector, histogram in zip(
-                self.labels,
-                self.member_ids,
-                self.centroids.tolist(),
-                self.best_silhouette_ids,
-                self.best_silhouette_vectors.tolist(),
-                self.histograms,
-            )
-        )
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -188,7 +110,6 @@ class MatchConfig:
     alpha: int = DEFAULT_ALPHA
     probability_threshold: float = DEFAULT_THRESHOLD
     cluster_embedding_method: str = CENTROID
-    rmse_epsilon: float = DEFAULT_RMSE_EPSILON
 
     def __post_init__(self) -> None:
         if self.alpha < 1:
@@ -197,8 +118,6 @@ class MatchConfig:
             raise ValueError("probability_threshold must be in (0, 1)")
         if self.cluster_embedding_method not in (CENTROID, BEST_SILHOUETTE):
             raise ValueError(f"unknown method {self.cluster_embedding_method!r}")
-        if self.rmse_epsilon <= 0:
-            raise ValueError("rmse_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -263,9 +182,9 @@ def best_silhouette_members(data, clustering: Clustering) -> list[int]:
     return [int(i) for i in order[firsts]]
 
 
-def similarity(q, c, rmse_epsilon: float = DEFAULT_RMSE_EPSILON) -> float:
-    """Inverse-RMSE similarity; the RMSE is clamped below by ``rmse_epsilon``."""
-    return 1.0 / max(rmse(q, c), rmse_epsilon)
+def similarity(q, c) -> float:
+    """Inverse-RMSE similarity; the RMSE is clamped below by ``RMSE_EPSILON``."""
+    return 1.0 / max(rmse(q, c), RMSE_EPSILON)
 
 
 def truncate_top_alpha(similarities, alpha: int) -> np.ndarray:
@@ -348,7 +267,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _SCREEN_FLOOR = 1e-250
 
 
-def _screen(queries: np.ndarray, stored: np.ndarray, alpha: int, rmse_epsilon: float) -> np.ndarray:
+def _screen(queries: np.ndarray, stored: np.ndarray, alpha: int) -> np.ndarray:
     """(K, S) mask of the entries that may be among each query's alpha most similar: never a miss.
 
     Let D = sum((s - q) ** 2) as ``match_clusters`` computes it (each of the d
@@ -361,9 +280,9 @@ def _screen(queries: np.ndarray, stored: np.ndarray, alpha: int, rmse_epsilon: f
     well inside B = 4(d + 4)·eps·(||q||^2 + ||s||^2) = (8d + 32)u (...), which
     also absorbs the rounding of G ± B. Every entry has D <= G + B, so the
     alpha-th smallest G + B bounds the alpha-th smallest D from above. The
-    similarity 1 / max(sqrt(D / d), rmse_epsilon) never rises with D, and two
+    similarity 1 / max(sqrt(D / d), RMSE_EPSILON) never rises with D, and two
     D more than a relative 16·eps apart give different similarities unless
-    both are clamped, which needs D <= d·rmse_epsilon^2 (1 + 16·eps). An entry
+    both are clamped, which needs D <= d·RMSE_EPSILON^2 (1 + 16·eps). An entry
     with G - B above both bounds is therefore strictly less similar than the
     alpha-th entry and can neither enter the top alpha nor tie with it.
     Overflow makes G or B inf or nan, and such an entry is kept.
@@ -376,7 +295,7 @@ def _screen(queries: np.ndarray, stored: np.ndarray, alpha: int, rmse_epsilon: f
         approx += slack  # G
         slack *= 4 * (d + 4) * _EPS  # B
         kth = np.partition(approx + slack, alpha - 1, axis=1)[:, alpha - 1]
-        reach = np.maximum(kth, max(d * rmse_epsilon**2, _SCREEN_FLOOR)) * (1 + 16 * _EPS)
+        reach = np.maximum(kth, max(d * RMSE_EPSILON**2, _SCREEN_FLOOR)) * (1 + 16 * _EPS)
         approx -= slack
         return ~(approx > reach[:, None])
 
@@ -408,11 +327,11 @@ def match_clusters(
     decisions = []
     for start in range(0, queries.shape[0], step):
         block = queries[start : start + step]
-        for q, candidates in zip(block, _screen(block, stored, alpha, config.rmse_epsilon)):
+        for q, candidates in zip(block, _screen(block, stored, alpha)):
             index = np.flatnonzero(candidates)
             # row-wise similarity(q, row): the same operations in the same order, so equal bit for bit
             rmses = np.sqrt(np.sum((stored[index] - q) ** 2, axis=1) / store.dimension)
-            sims = 1.0 / np.maximum(rmses, config.rmse_epsilon)
+            sims = 1.0 / np.maximum(rmses, RMSE_EPSILON)
             keep = np.argsort(-sims, kind="stable")[:alpha]  # index ascends: equal scores keep the lowest
             top = index[keep]
             truncated = np.zeros(size)

@@ -102,7 +102,7 @@ def build_labeled_store(
         labels.append(label)
         member_ids.append(tuple(faces.ids[i] for i in members))
         histograms.append(histogram)
-    return LabeledClusterSet.from_arrays(
+    return LabeledClusterSet(
         labels=labels,
         member_ids=member_ids,
         best_silhouette_ids=[faces.ids[r] for r in reps],

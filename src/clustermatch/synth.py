@@ -1,6 +1,7 @@
 """Seeded Gaussian-blob generator standing in for real face embeddings."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,23 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.num_identities < 1 or self.points_per_identity < 1 or self.dimension < 1:
             raise ValueError("counts must be positive")
-        if self.blob_stddev <= 0 or self.separation <= 0:
-            raise ValueError("blob_stddev and separation must be positive")
+        if not (0 < self.blob_stddev < math.inf and 0 < self.separation < math.inf):
+            raise ValueError(
+                f"blob_stddev and separation must be positive and finite, got {self.blob_stddev} and {self.separation}"
+            )
+        if not math.isfinite(self.cube_side):
+            raise ValueError(
+                f"the centres' cube side overflows: separation x blob_stddev = {self.separation * self.blob_stddev} is too large"
+            )
         if not 0.0 <= self.fraction_nonregistered <= 1.0:
             raise ValueError("fraction_nonregistered must be in [0, 1]")
+
+    @property
+    def cube_side(self) -> float:
+        """Side of the hypercube the centres are drawn from, scaled so that
+        num_identities separated centres plausibly fit."""
+        min_dist = self.separation * self.blob_stddev
+        return min_dist * max(2.0, self.num_identities ** (1.0 / self.dimension) * 2.0)
 
 
 @dataclass(frozen=True)
@@ -50,8 +64,7 @@ class SyntheticDataset:
 def _place_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     """Rejection-sample centers on a hypercube until all pairs respect the separation."""
     min_dist = config.separation * config.blob_stddev
-    # scale the cube so that num_identities separated centers plausibly fit
-    side = min_dist * max(2.0, config.num_identities ** (1.0 / config.dimension) * 2.0)
+    side = config.cube_side
     centers: list[np.ndarray] = []
     attempts = 0
     while len(centers) < config.num_identities:

@@ -22,7 +22,13 @@ import numpy as np
 from clustermatch.clustering import Clustering, KSearchConfig, WardMerge, silhouette, ward_tree
 from clustermatch.formats import EMBEDDING_HEADER_PREFIX, FormatError
 from clustermatch.geometry import Embedding, as_matrix, pairwise_distances
-from clustermatch.matching import CENTROID, make_cluster_embedding, match_probabilities, truncate_top_alpha
+from clustermatch.matching import (
+    CENTROID,
+    RMSE_EPSILON,
+    make_cluster_embedding,
+    match_probabilities,
+    truncate_top_alpha,
+)
 
 
 def euclidean_distance(a, b) -> float:
@@ -256,7 +262,7 @@ def full_match(query_members, store, config) -> FullMatch:
     q = make_cluster_embedding(query_members)
     stored = store.centroids if config.cluster_embedding_method == CENTROID else store.best_silhouette_vectors
     rmses = np.sqrt(np.sum((stored - q) ** 2, axis=1) / store.dimension)
-    sims = 1.0 / np.maximum(rmses, config.rmse_epsilon)
+    sims = 1.0 / np.maximum(rmses, RMSE_EPSILON)
     trunc = truncate_top_alpha(sims, config.alpha)
     probs = match_probabilities(trunc)
     best = int(np.argmax(probs))

@@ -18,12 +18,13 @@ from clustermatch.evaluation import contingency, match_metrics, score_video, v_m
 from clustermatch.formats import read_store, write_store
 from clustermatch.geometry import as_matrix
 from clustermatch.matching import MatchConfig, match_cluster, match_probabilities, sigma
-from clustermatch.matching import LabeledCluster, LabeledClusterSet
+from clustermatch.matching import LabeledClusterSet
 from clustermatch.pipeline import NON_REGISTERED, build_labeled_store, recognize
 from clustermatch.synth import SynthConfig, generate_synthetic, sample_more
 from clustermatch.timeline import emit_timeline, expand_segments
 
 from .oracles import brute_v_measure, ward_merge_cost
+from .stores import store_of
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -71,13 +72,13 @@ def sweep_metrics(ds, store, video, alpha: int, scale: float = 1.0):
         decision = match_cluster(vectors * scale, store, config)
         argmaxes.append(decision.p_max)
         if is_registered:
-            entry = store.entries[decision.cluster_index] if decision.matched else None
+            entry = decision.cluster_index  # None when nothing matched
             registered.append(
                 (
                     label,
                     decision,
-                    entry.label if entry else None,
-                    entry.label_set if entry else None,
+                    store.labels[entry] if decision.matched else None,
+                    frozenset(store.histograms[entry]) if decision.matched else None,  # the entry's label set
                 )
             )
         else:
@@ -237,20 +238,7 @@ class TestAcceptance:
         softmax_ok = abs(p[0] - 0.7869860) <= 1e-6 and abs(p[0] - expected) <= 1e-12
 
         def toy_store(n):
-            return LabeledClusterSet(
-                entries=tuple(
-                    LabeledCluster(
-                        label=f"p{i}",
-                        member_ids=(f"m{i}",),
-                        centroid=(float(i),),
-                        best_silhouette_id=f"m{i}",
-                        best_silhouette_vector=(float(i),),
-                        label_histogram={f"p{i}": 1},
-                    )
-                    for i in range(n)
-                ),
-                dimension=1,
-            )
+            return store_of([(float(i),) for i in range(n)])
 
         uniform = sigma([0.25, 0.25, 0.25, 0.25], toy_store(4))
         boundary = sigma([0.5, 0.5], toy_store(2))

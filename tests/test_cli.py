@@ -294,6 +294,23 @@ class TestErrorHandling:
         assert run(["timeline", "--labels", labels, "--out", tmp_path / "s.tsv"]) == 1
         self.assert_one_error_line(capsys, "l.tsv:3", "'x'")
 
+    def test_label_file_with_negative_frame(self, tmp_path, capsys):
+        labels, out = tmp_path / "l.tsv", tmp_path / "s.tsv"
+        labels.write_text("#labels v1\na\t0\talice\nb\t-3\talice\n")
+        assert run(["timeline", "--labels", labels, "--fps", "1", "--out", out]) == 1
+        self.assert_one_error_line(capsys, "l.tsv:3", "non-negative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--stddev", "inf"), ("--stddev", "nan"), ("--separation", "inf"), ("--separation", "nan"), ("--separation", "1e308")],
+    )
+    def test_synth_rejects_non_finite_sizes(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "faces.emb"
+        assert run(["synth", "--identities", "5", "--points", "10", "--dim", "32", flag, value, "--out", out]) == 1
+        self.assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_timeline_needs_frames(self, tmp_path, capsys):
         labels = tmp_path / "l.tsv"
         labels.write_text("#labels v1\na\t\talice\n")

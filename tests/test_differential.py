@@ -15,7 +15,6 @@ from clustermatch import matching
 from clustermatch.matching import (
     BEST_SILHOUETTE,
     CENTROID,
-    LabeledClusterSet,
     MatchConfig,
     match_cluster,
     match_clusters,
@@ -33,6 +32,7 @@ from .oracles import (
     union_find_cut,
     untiled_pairwise_distances,
 )
+from .stores import store_of
 from .test_acceptance import harness, query_clusters  # noqa: F401  (harness is a fixture)
 
 
@@ -40,8 +40,8 @@ def reference_best_members(mat, clustering):
     """Per cluster, the first member with the cluster's highest silhouette coefficient."""
     coeffs = silhouette(mat, clustering).coefficients
     out = []
-    for c in range(clustering.num_clusters):
-        members = clustering.members(c)
+    for members in clustering.member_groups():
+        members = members.tolist()
         out.append(members[int(np.argmax([coeffs[i] for i in members]))])
     return out
 
@@ -56,11 +56,11 @@ def assert_top_alpha_is_scalar(decision, similarities, alpha=5):
 @pytest.mark.parametrize("method", [CENTROID, BEST_SILHOUETTE])
 def test_vectorised_similarities_equal_scalar_similarity(harness, method):  # noqa: F811
     ds, store, video = harness
-    vectors_of = {CENTROID: "centroid", BEST_SILHOUETTE: "best_silhouette_vector"}[method]
+    stored = {CENTROID: store.centroids, BEST_SILHOUETTE: store.best_silhouette_vectors}[method]
     for _, vectors, _ in query_clusters(ds, video):
         decision = match_cluster(vectors, store, MatchConfig(cluster_embedding_method=method))
         q = vectors.mean(axis=0)
-        assert_top_alpha_is_scalar(decision, [similarity(q, getattr(e, vectors_of)) for e in store.entries])
+        assert_top_alpha_is_scalar(decision, [similarity(q, row) for row in stored])
 
 
 def assert_same_match(decision, ref):
@@ -88,19 +88,6 @@ def test_batched_match_equals_full_match_on_harness(harness, method, alpha):  # 
         assert_same_match(decision, full_match(vectors, store, config))
 
 
-def store_of(rows):
-    """A store whose entry i has row i as both vectors; labels and member ids are made up."""
-    size = len(rows)
-    return LabeledClusterSet.from_arrays(
-        labels=[f"p{i}" for i in range(size)],
-        member_ids=[(f"m{i}",) for i in range(size)],
-        best_silhouette_ids=[f"m{i}" for i in range(size)],
-        histograms=[{}] * size,
-        centroids=rows,
-        best_silhouette_vectors=rows,
-    )
-
-
 def random_store():
     rng = np.random.default_rng(21)
     rows = rng.normal(size=(5000, 128))
@@ -120,7 +107,7 @@ def duplicated_at_boundary():
 
 
 def query_equals_row():
-    """Queries equal to stored rows, and rows within the RMSE clamp of them: tied 1 / rmse_epsilon scores."""
+    """Queries equal to stored rows, and rows within the RMSE clamp of them: tied 1 / RMSE_EPSILON scores."""
     rng = np.random.default_rng(23)
     rows = rng.normal(size=(50, 16))
     rows[[5, 17, 30]] = rows[3]
@@ -137,7 +124,7 @@ def clamped_near_origin():
     rng = np.random.default_rng(27)
     rows = rng.normal(0, 1e-7, size=(50, 16))
     rows[1] = rows[3]
-    rows[1, 0] += 1e-12  # RMSE 2.5e-13: clamped to rmse_epsilon
+    rows[1, 0] += 1e-12  # RMSE 2.5e-13: clamped to RMSE_EPSILON
     return rows, rows[[3, 1, 20]]
 
 
@@ -199,7 +186,7 @@ def test_batched_match_equals_full_match(name, alpha):
 def test_screen_keeps_few_candidates():
     """Exact similarities are computed only for the entries the screen cannot rule out."""
     rows, queries = random_store()
-    kept = matching._screen(queries, rows, 5, MatchConfig().rmse_epsilon).sum(axis=1)
+    kept = matching._screen(queries, rows, 5).sum(axis=1)
     assert kept.min() >= 5 and kept.mean() <= 10, kept
 
 
@@ -238,8 +225,8 @@ def test_store_keeps_each_clusters_best_silhouette_member(world):
     clustering = run_clustering(registered)
     assert clustering.num_clusters >= 2
     picks = reference_best_members(mat, clustering)
-    assert [e.best_silhouette_id for e in store.entries] == [registered[i].id for i in picks]
-    assert [e.best_silhouette_vector for e in store.entries] == [registered[i].vector for i in picks]
+    assert list(store.best_silhouette_ids) == [registered[i].id for i in picks]
+    assert [tuple(row) for row in store.best_silhouette_vectors.tolist()] == [registered[i].vector for i in picks]
 
 
 def blobs(seed, n, k, d):
@@ -312,19 +299,14 @@ SWEEP_CASES = {
 
 @pytest.mark.parametrize("name", list(SWEEP_CASES))
 def test_sweep_scores_equal_silhouette_of_cut(name):
-    """Every sweep score, coefficient, a and b is bit-equal to ``silhouette`` of the cut."""
+    """Every sweep score and coefficient is bit-equal to ``silhouette`` of the cut."""
     data = SWEEP_CASES[name]()
     dist = pairwise_distances(data)
     tree = ward_tree(data, dist=dist)
-    for k, score, keep in clustering_module._ward_sweep(tree, dist, min(tree.n_points, 80)):
-        s, a, b = keep()
+    for k, score, coefficients in clustering_module._ward_sweep(tree, dist, min(tree.n_points, 80)):
         report = silhouette(data, tree.cut(k), dist=dist)
         assert score == report.score
-        assert (tuple(s.tolist()), tuple(a.tolist()), tuple(b.tolist())) == (
-            report.coefficients,
-            report.intra,
-            report.nearest,
-        )
+        assert tuple(coefficients.tolist()) == report.coefficients
 
 
 @pytest.mark.parametrize(

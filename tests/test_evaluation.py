@@ -8,24 +8,15 @@ from clustermatch.evaluation import (
     score_video,
     v_measure,
 )
-from clustermatch.matching import LabeledCluster, LabeledClusterSet, sigma
+from clustermatch.matching import sigma
 
 from .oracles import brute_v_measure
+from .stores import store_of
 
 
 def decision(matched: bool):
     """A minimal MatchDecision for metric bookkeeping."""
-    store = LabeledClusterSet(
-        entries=(
-            LabeledCluster(
-                label="x", member_ids=("a",), centroid=(0.0,), best_silhouette_id="a", best_silhouette_vector=(0.0,)
-            ),
-            LabeledCluster(
-                label="y", member_ids=("b",), centroid=(1.0,), best_silhouette_id="b", best_silhouette_vector=(1.0,)
-            ),
-        ),
-        dimension=1,
-    )
+    store = store_of([(0.0,), (1.0,)], labels=["x", "y"])
     return sigma([0.9, 0.1] if matched else [0.5, 0.5], store)
 
 
@@ -89,6 +80,29 @@ class TestVMeasure:
             assert r.homogeneity == pytest.approx(h, abs=1e-9)
             assert r.completeness == pytest.approx(c, abs=1e-9)
             assert r.v == pytest.approx(v, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("case", ["noisy", "random", "split"])
+    def test_matches_brute_force_at_scale(self, case, beta):
+        """n = 3000 faces in 100 classes against about 100 clusters: one cluster per class
+        (under a shuffled index) with a fifth of the faces moved to a random cluster, clusters
+        drawn at random, or every class split in two; the same |delta| <= 1e-9 as criterion 2."""
+        rng = np.random.default_rng(18)
+        n, k = 3000, 100
+        classes = rng.integers(0, k, size=n)
+        if case == "noisy":
+            assign = rng.permutation(k)[classes]
+            moved = rng.random(n) < 0.2
+            assign[moved] = rng.integers(0, k, size=int(moved.sum()))
+        elif case == "random":
+            assign = rng.integers(0, k, size=n)
+        else:
+            assign = 2 * classes + rng.integers(0, 2, size=n)
+        truth, assign = [f"id-{c:03d}" for c in classes.tolist()], assign.tolist()
+        r = v_measure(contingency(truth, assign), beta=beta)
+        h, c, v = brute_v_measure(truth, assign, beta=beta)
+        assert max(abs(r.homogeneity - h), abs(r.completeness - c), abs(r.v - v)) <= 1e-9
+        assert 0.0 < r.v < 1.0
 
     def test_transpose_swaps_h_and_c(self):
         classes, clusters = ["A", "A", "B", "B", "C"], [0, 0, 0, 1, 1]

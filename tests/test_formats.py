@@ -18,7 +18,7 @@ from clustermatch.formats import (
     write_store,
 )
 from clustermatch.geometry import Embedding, EmbeddingSet, as_matrix
-from clustermatch.matching import LabeledCluster, LabeledClusterSet
+from clustermatch.matching import LabeledClusterSet
 
 from . import oracles
 
@@ -143,25 +143,12 @@ class TestStoreFile:
     @pytest.fixture
     def store(self):
         return LabeledClusterSet(
-            entries=(
-                LabeledCluster(
-                    label="alice",
-                    member_ids=("a1", "a2"),
-                    centroid=(0.5, 1 / 3),
-                    best_silhouette_id="a1",
-                    best_silhouette_vector=(0.25, 0.4),
-                    label_histogram={"alice": 2},
-                ),
-                LabeledCluster(
-                    label="bob",
-                    member_ids=("b1",),
-                    centroid=(9.0, -2.0),
-                    best_silhouette_id="b1",
-                    best_silhouette_vector=(9.0, -2.0),
-                    label_histogram={"bob": 1},
-                ),
-            ),
-            dimension=2,
+            labels=["alice", "bob"],
+            member_ids=[("a1", "a2"), ("b1",)],
+            best_silhouette_ids=["a1", "b1"],
+            histograms=[{"alice": 2}, {"bob": 1}],
+            centroids=[(0.5, 1 / 3), (9.0, -2.0)],
+            best_silhouette_vectors=[(0.25, 0.4), (9.0, -2.0)],
         )
 
     def test_round_trip_bit_exact(self, tmp_path, store):
@@ -231,6 +218,26 @@ class TestStoreFile:
         with pytest.raises(FormatError, match="s.json: top level: missing key 'entries'"):
             read_store(path)
 
+    @pytest.mark.parametrize("dimension", [2.7, "2", True, 0, -1])
+    def test_dimension_must_be_a_positive_json_integer(self, tmp_path, store, dimension):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        doc["dimension"] = dimension
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="s.json: top level: bad value for 'dimension'"):
+            read_store(path)
+
+    @pytest.mark.parametrize("version", [1.0, True, "1", 2, None])
+    def test_version_must_be_the_json_integer_1(self, tmp_path, store, version):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="s.json: unsupported store version"):
+            read_store(path)
+
 
 class TestClusteringFile:
     def test_round_trip(self, tmp_path, sample_embeddings):
@@ -246,9 +253,35 @@ class TestClusteringFile:
 
     def test_bad_assignment_names_it(self, tmp_path):
         path = tmp_path / "c.json"
-        doc = {"format": "clustermatch-clustering", "num_clusters": 1, "assignments": [["a", 0], ["b"]]}
+        doc = {"format": "clustermatch-clustering", "version": 1, "num_clusters": 1, "assignments": [["a", 0], ["b"]]}
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="c.json: assignment 1"):
+            read_clustering(path)
+
+    @staticmethod
+    def write_doc(path, **changes):
+        doc = {"format": "clustermatch-clustering", "version": 1, "num_clusters": 2, "assignments": [["a", 0], ["b", 1]]}
+        path.write_text(json.dumps({**doc, **changes}))
+
+    @pytest.mark.parametrize("version", [99, 1.0, True, "1", None])
+    def test_version_must_be_the_json_integer_1(self, tmp_path, version):
+        path = tmp_path / "c.json"
+        self.write_doc(path, version=version)
+        with pytest.raises(FormatError, match="c.json: unsupported clustering version"):
+            read_clustering(path)
+
+    @pytest.mark.parametrize("num_clusters", ["1", 1.9, True, 0])
+    def test_num_clusters_must_be_a_positive_json_integer(self, tmp_path, num_clusters):
+        path = tmp_path / "c.json"
+        self.write_doc(path, num_clusters=num_clusters)
+        with pytest.raises(FormatError, match="c.json: top level: bad value for 'num_clusters'"):
+            read_clustering(path)
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1"])
+    def test_cluster_index_must_be_a_json_integer(self, tmp_path, index):
+        path = tmp_path / "c.json"
+        self.write_doc(path, assignments=[["a", 0], ["b", index]])
+        with pytest.raises(FormatError, match="c.json: assignment 1: expected \\[embedding id, cluster index\\]"):
             read_clustering(path)
 
     def test_top_level_list_rejected(self, tmp_path):
@@ -299,4 +332,10 @@ class TestFaceLabelFile:
         path = tmp_path / "l.tsv"
         path.write_text("#labels v1\na\t0\talice\nb\tx\talice\n")
         with pytest.raises(FormatError, match=r"l\.tsv:3: bad frame index 'x'"):
+            read_face_labels(path)
+
+    def test_negative_frame_names_line(self, tmp_path):
+        path = tmp_path / "l.tsv"
+        path.write_text("#labels v1\na\t0\talice\nb\t-3\talice\n")
+        with pytest.raises(FormatError, match=r"l\.tsv:3: frame_index must be non-negative"):
             read_face_labels(path)

@@ -10,7 +10,6 @@ from clustermatch.geometry import Embedding
 from clustermatch.matching import (
     BEST_SILHOUETTE,
     CENTROID,
-    LabeledCluster,
     LabeledClusterSet,
     MatchConfig,
     best_silhouette_members,
@@ -25,22 +24,7 @@ from clustermatch.matching import (
 from clustermatch.pipeline import recognize
 
 from .oracles import brute_softmax
-
-
-def make_store(centroids, labels=None, dim=None, silhouette_vectors=None):
-    dim = dim if dim is not None else len(centroids[0])
-    silhouette_vectors = silhouette_vectors if silhouette_vectors is not None else centroids
-    entries = tuple(
-        LabeledCluster(
-            label=labels[i] if labels else f"person-{i}",
-            member_ids=(f"m{i}",),
-            centroid=tuple(float(x) for x in c),
-            best_silhouette_id=f"m{i}",
-            best_silhouette_vector=tuple(float(x) for x in b),
-        )
-        for i, (c, b) in enumerate(zip(centroids, silhouette_vectors))
-    )
-    return LabeledClusterSet(entries=entries, dimension=dim)
+from .stores import store_of
 
 
 def similarities_to(query_vector, stored):
@@ -63,7 +47,7 @@ def full_probabilities(decision):
 class TestMakeClusterEmbedding:
     """The query vector: the mean of the rows given, or the one best-silhouette row recognize picks."""
 
-    STORE = make_store([(1.0, 1.0), (3.0, 4.0)], silhouette_vectors=[(0.0, 2.0), (3.0, 5.0)])
+    STORE = store_of([(1.0, 1.0), (3.0, 4.0)], best_silhouette_vectors=[(0.0, 2.0), (3.0, 5.0)])
 
     def test_centroid_midpoint(self):
         assert tuple(make_cluster_embedding(np.array([[0.0, 0], [2, 2]]))) == (1.0, 1.0)
@@ -85,7 +69,7 @@ class TestMakeClusterEmbedding:
 
     def test_best_silhouette_single_cluster_falls_back_to_centroid(self):
         # the two points collapse to one cluster (silhouette 0 < 0.2): the query is their centroid
-        store = make_store([(9.0,), (7.0,)], silhouette_vectors=[(1.0,), (5.0,)])
+        store = store_of([(9.0,), (7.0,)], best_silhouette_vectors=[(1.0,), (5.0,)])
         video = [Embedding(id="a", vector=(0.0,)), Embedding(id="b", vector=(2.0,))]
         res = recognize(video, store, MatchConfig(cluster_embedding_method=BEST_SILHOUETTE))
         assert res.clustering.num_clusters == 1
@@ -177,28 +161,28 @@ class TestMatchProbabilities:
 
 class TestSigma:
     def test_matches_above_threshold(self):
-        store = make_store([(0.0,), (5.0,), (9.0,)])
+        store = store_of([(0.0,), (5.0,), (9.0,)])
         d = sigma([0.7869860, 0.1065070, 0.1065070], store)
-        assert d.matched and d.label == "person-0"
+        assert d.matched and d.label == "p0"
         assert d.probability == pytest.approx(0.7869860)
 
     def test_boundary_half_is_no_match(self):
-        store = make_store([(0.0,), (5.0,)])
+        store = store_of([(0.0,), (5.0,)])
         d = sigma([0.5, 0.5], store)
         assert not d.matched
         assert d.label is None
 
     def test_distributed_probability_no_match(self):
-        store = make_store([(0.0,), (5.0,), (9.0,)])
+        store = store_of([(0.0,), (5.0,), (9.0,)])
         assert not sigma([0.4, 0.35, 0.25], store).matched
 
     def test_empty_store_errors(self):
-        empty = LabeledClusterSet(entries=(), dimension=1)
+        empty = store_of(np.empty((0, 1)))
         with pytest.raises(ValueError):
             sigma([1.0], empty)
 
     def test_never_matches_at_or_below_threshold(self):
-        store = make_store([(0.0,), (5.0,)])
+        store = store_of([(0.0,), (5.0,)])
         for p0 in (0.0, 0.25, 0.5):
             d = sigma([p0, 1 - p0], store)
             if d.matched:
@@ -208,36 +192,36 @@ class TestSigma:
 class TestMatchCluster:
     def test_identical_to_one_centroid_dominates(self):
         centroids = [(float(i * 10), 0.0) for i in range(10)]
-        store = make_store(centroids)
+        store = store_of(centroids)
         d = match_cluster(np.array([centroids[3]]), store, MatchConfig(alpha=5))
-        assert d.matched and d.label == "person-3"
+        assert d.matched and d.label == "p3"
         assert d.probability == pytest.approx(1.0)
 
     def test_equidistant_query_no_match(self):
         pts = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-        store = make_store(pts)
+        store = store_of(pts)
         d = match_cluster(np.array([[0.0, 0.0]]), store, MatchConfig(alpha=5))
         assert not d.matched
         assert full_probabilities(d) == pytest.approx([0.25] * 4)
 
     def test_single_entry_store_always_matches(self):
-        store = make_store([(0.0, 0.0)])
+        store = store_of([(0.0, 0.0)])
         d = match_cluster(np.array([[100.0, 100.0]]), store)
         assert d.matched and d.probability == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
-        store = make_store([(0.0, 0.0)])
+        store = store_of([(0.0, 0.0)])
         with pytest.raises(ValueError):
             match_cluster(np.array([[1.0, 2.0, 3.0]]), store)
 
     def test_permuting_store_permutes_probabilities(self):
         rng = np.random.default_rng(5)
         centroids = [tuple(v) for v in rng.normal(size=(6, 3))]
-        store = make_store(centroids)
+        store = store_of(centroids)
         query = rng.normal(size=(4, 3))
         d = match_cluster(query, store, MatchConfig(alpha=3))
         perm = [3, 1, 5, 0, 2, 4]
-        store2 = make_store([centroids[i] for i in perm], labels=[f"person-{i}" for i in perm])
+        store2 = store_of([centroids[i] for i in perm], labels=[f"p{i}" for i in perm])
         d2 = match_cluster(query, store2, MatchConfig(alpha=3))
         assert full_probabilities(d2) == pytest.approx([full_probabilities(d)[i] for i in perm], abs=1e-12)
         assert d.label == d2.label
@@ -245,7 +229,7 @@ class TestMatchCluster:
     def test_argmax_probability_non_increasing_in_alpha(self):
         rng = np.random.default_rng(6)
         centroids = [tuple(v) for v in rng.normal(size=(12, 4))]
-        store = make_store(centroids)
+        store = store_of(centroids)
         query = rng.normal(size=(3, 4))
         prev = math.inf
         for alpha in range(1, 13):
@@ -289,27 +273,44 @@ class TestMatchConfig:
 
 class TestLabeledClusterSet:
     def test_duplicate_member_ids_rejected(self):
-        entry = LabeledCluster(
-            label="x", member_ids=("a",), centroid=(0.0,), best_silhouette_id="a", best_silhouette_vector=(0.0,)
-        )
-        with pytest.raises(ValueError):
-            LabeledClusterSet(entries=(entry, entry), dimension=1)
+        with pytest.raises(ValueError, match="entry 1: duplicate member id 'a'"):
+            LabeledClusterSet(
+                labels=["x", "y"],
+                member_ids=[("a",), ("b", "a")],
+                best_silhouette_ids=["a", "b"],
+                histograms=[{}, {}],
+                centroids=[[0.0], [1.0]],
+                best_silhouette_vectors=[[0.0], [1.0]],
+            )
 
     def test_matrices_follow_entries_and_stay_out_of_eq_and_repr(self):
-        store = make_store([(0.0, 1.0), (2.0, 3.0)], silhouette_vectors=[(0.5, 1.5), (2.5, 3.5)])
-        assert store.centroids.shape == store.best_silhouette_vectors.shape == (2, 2)
-        assert [tuple(r) for r in store.centroids] == [e.centroid for e in store.entries]
-        assert [tuple(r) for r in store.best_silhouette_vectors] == [e.best_silhouette_vector for e in store.entries]
-        assert not store.centroids.flags.writeable
+        rows, best = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([[0.5, 1.5], [2.5, 3.5]])
+        store = store_of(rows, best_silhouette_vectors=best)
+        assert np.array_equal(store.centroids, rows) and store.centroids is not rows
+        assert np.array_equal(store.best_silhouette_vectors, best)
+        assert not store.centroids.flags.writeable and not store.best_silhouette_vectors.flags.writeable
+        assert rows.flags.writeable  # the store froze its own copy
         assert "centroids" not in repr(store)
-        assert store == LabeledClusterSet(entries=store.entries, dimension=2)
+        assert store == store_of(rows.tolist(), best_silhouette_vectors=best.tolist())
+        assert store != store_of(rows)
 
     def test_empty_store_has_empty_matrices(self):
-        assert LabeledClusterSet(entries=(), dimension=3).centroids.shape == (0, 3)
+        assert store_of(np.empty((0, 3))).centroids.shape == (0, 3)
 
     def test_dimension_checked(self):
-        entry = LabeledCluster(
-            label="x", member_ids=("a",), centroid=(0.0, 1.0), best_silhouette_id="a", best_silhouette_vector=(0.0, 1.0)
-        )
-        with pytest.raises(ValueError):
-            LabeledClusterSet(entries=(entry,), dimension=3)
+        cases = [
+            ([[0.0, 1.0]], [[0.0, 1.0, 2.0]], "cluster embedding dimensions disagree"),
+            ([0.0], [0.0], r"\(S, d\) matrix with d >= 1"),
+            (np.empty((1, 0)), np.empty((1, 0)), r"\(S, d\) matrix with d >= 1"),
+            ([[0.0], [1.0]], [[0.0], [1.0]], "store columns differ in length"),
+        ]
+        for centroids, best, message in cases:
+            with pytest.raises(ValueError, match=message):
+                LabeledClusterSet(
+                    labels=["x"],
+                    member_ids=[("a",)],
+                    best_silhouette_ids=["a"],
+                    histograms=[{}],
+                    centroids=centroids,
+                    best_silhouette_vectors=best,
+                )

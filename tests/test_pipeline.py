@@ -41,8 +41,8 @@ class TestBuildLabeledStore:
     def test_store_has_one_pure_cluster_per_identity(self, small_world):
         ds, store = small_world
         assert len(store) == len(ds.registered_labels)
-        assert {e.label for e in store.entries} == set(ds.registered_labels)
-        assert all(len(e.label_histogram) == 1 for e in store.entries)
+        assert set(store.labels) == set(ds.registered_labels)
+        assert all(len(h) == 1 for h in store.histograms)
 
     def test_mixed_cluster_gets_majority_label(self):
         embs = [
@@ -51,8 +51,8 @@ class TestBuildLabeledStore:
             Embedding(id="3", vector=(0.0, 0.1), true_label="B"),
         ]
         store = build_labeled_store(embs, algorithm="ward", k=1)
-        assert store.entries[0].label == "A"
-        assert store.entries[0].label_histogram == {"A": 2, "B": 1}
+        assert store.labels[0] == "A"
+        assert store.histograms[0] == {"A": 2, "B": 1}
 
     def test_single_identity_collapses_via_min_silhouette(self):
         rng = np.random.default_rng(2)
@@ -70,7 +70,7 @@ class TestBuildLabeledStore:
             Embedding(id="3", vector=(10.0,)),
         ]
         store = build_labeled_store(embs, algorithm="ward", k=2, cluster_labels=["near", "far"])
-        assert sorted(e.label for e in store.entries) == ["far", "near"]
+        assert sorted(store.labels) == ["far", "near"]
 
     def test_unlabeled_without_cluster_labels_errors(self):
         embs = [Embedding(id="1", vector=(0.0,)), Embedding(id="2", vector=(1.0,))]

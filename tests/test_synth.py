@@ -15,6 +15,21 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(2, 10, 4, fraction_nonregistered=1.5)
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"blob_stddev": float("inf")},
+            {"blob_stddev": float("nan")},
+            {"separation": float("inf")},
+            {"separation": float("nan")},
+            {"separation": 1e308},  # finite, but the centres' cube side overflows
+            {"blob_stddev": 1e200, "separation": 1e200},
+        ],
+    )
+    def test_rejects_non_finite_sizes(self, sizes):
+        with pytest.raises(ValueError, match="finite|overflows"):
+            SynthConfig(2, 10, 4, **sizes)
+
 
 class TestGenerate:
     def test_counts_and_labels(self):
