@@ -6,6 +6,7 @@ values bit for bit.
 """
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -14,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .clustering import Clustering
 from .geometry import Embedding, EmbeddingSet
@@ -54,16 +56,46 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
+# orjson 3.8 crashes the process (SIGSEGV) on a closed nest 150 000 deep; the files
+# this module writes are 3 deep
+_ORJSON_MAX_DEPTH = 64
+# every byte but the brackets and the quote
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _nesting_depth(data: bytes) -> int:
+    """The deepest nest of JSON arrays and objects in ``data``; brackets inside strings do not count."""
+    if b"\\" in data:  # drop escaped backslashes, then escaped quotes: what is left of '"' delimits strings
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    outside = b"".join(data.translate(None, _NOT_STRUCTURE).split(b'"')[::2])
+    if not outside:
+        return 0
+    steps = (np.frombuffer(outside, np.uint8) & 2).astype(np.int64) - 1  # '[' and '{' have bit 1 set: +1; ']' and '}' -1
+    return int(np.cumsum(steps).max())
+
+
 def _read_json_object(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _loads(path, Path(path).read_bytes())
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object at the top level, got {type(doc).__name__}")
+    return doc
+
+
+def _loads(path: str | Path, data: bytes):
+    """The JSON document in ``data``. orjson parses it when it can; Python's json decides
+    every input orjson rejects or that is nested too deeply for it (NaN, 1e400, a lone
+    surrogate, a 100 000-deep nest), so its accepted inputs, values and messages stand."""
+    if _nesting_depth(data) <= _ORJSON_MAX_DEPTH:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    try:  # decoded as Path.read_text decodes, so error positions are the same
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
         raise FormatError(f"{path}: invalid JSON (nested too deeply)") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected a JSON object at the top level, got {type(doc).__name__}")
-    return doc
 
 
 def _field(path: str | Path, where: str, obj, key: str, convert):
@@ -187,17 +219,52 @@ def _parse_records(records: list[list[str]], dim: int) -> EmbeddingSet | None:
     ids, video_ids, frames, labels, vecs = zip(*records) if records else ((),) * 5
     if any(vec.count(",") != dim - 1 for vec in vecs) or len(set(ids)) != len(ids):
         return None
-    components = chain.from_iterable(vec.split(",") for vec in vecs)
     try:
         return EmbeddingSet(
             ids=ids,
-            vectors=np.fromiter(map(float, components), np.float64, len(ids) * dim).reshape(len(ids), dim),
+            vectors=_vectors(vecs, dim),
             video_ids=[v or None for v in video_ids],
             frame_indices=[int(f) if f else None for f in frames],
             true_labels=[label or None for label in labels],
         )
     except ValueError:  # an unparsable number or frame, or a value EmbeddingSet rejects
         return None
+
+
+# records per orjson call: a call per record is slow, one call for the whole file
+# holds all its values as Python floats at once
+_VECTOR_BLOCK = 256
+
+
+def _vectors(vecs: Sequence[str], dim: int) -> np.ndarray:
+    """The (n, dim) matrix of the comma-separated vectors, each with dim - 1 commas.
+    Raises ValueError for a component that ``float`` rejects."""
+    out = np.empty((len(vecs), dim))
+    flat = out.reshape(-1)
+    for start in range(0, len(vecs), _VECTOR_BLOCK):
+        block = vecs[start : start + _VECTOR_BLOCK]
+        text, count = ",".join(block), len(block) * dim
+        values = _json_floats(text, count)
+        if values is None:
+            values = list(map(float, text.split(",")))
+        flat[start * dim : start * dim + count] = values
+    return out
+
+
+def _json_floats(text: str, count: int) -> list[float] | None:
+    """The ``count`` comma-separated numbers in ``text`` as orjson reads them, or None
+    unless it reads each one as a float, to which ``float`` gives the same bits (not so
+    for a JSON integer such as -0). Text with a ``[`` or ``{`` never reaches orjson,
+    which a deep nest crashes."""
+    if "[" in text or "{" in text:
+        return None
+    try:
+        values = orjson.loads(f"[{text}]")
+    except orjson.JSONDecodeError:
+        return None
+    if len(values) != count or not set(map(type, values)) <= {float}:
+        return None
+    return values
 
 
 def _check_records(path: str | Path, numbered: list[tuple[int, str]], dim: int) -> None:
@@ -374,7 +441,12 @@ def read_clustering(path: str | Path) -> tuple[dict[str, int], int]:
     for index, pair in enumerate(_field(path, "top level", doc, "assignments", _list)):
         if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and type(pair[1]) is int):
             raise FormatError(f"{path}: assignment {index}: expected [embedding id, cluster index], got {pair!r}")
-        assignment_by_id[pair[0]] = pair[1]
+        eid, cluster = pair
+        if not 0 <= cluster < num_clusters:
+            raise FormatError(f"{path}: assignment {index}: cluster index {cluster} is outside 0..{num_clusters - 1}")
+        if eid in assignment_by_id:
+            raise FormatError(f"{path}: assignment {index}: embedding id {eid!r} is listed twice")
+        assignment_by_id[eid] = cluster
     return assignment_by_id, num_clusters
 
 

@@ -28,9 +28,13 @@ class SynthConfig:
             raise ValueError(
                 f"blob_stddev and separation must be positive and finite, got {self.blob_stddev} and {self.separation}"
             )
-        if not math.isfinite(self.cube_side):
+        # a bound on every coordinate (the cube plus 10 stddevs of noise); 4 d reach^2 bounds
+        # every squared distance and is what clustering's own overflow check computes
+        reach = self.cube_side + 10.0 * self.blob_stddev
+        if not math.isfinite(4.0 * self.dimension * reach * reach):
             raise ValueError(
-                f"the centres' cube side overflows: separation x blob_stddev = {self.separation * self.blob_stddev} is too large"
+                f"separation x blob_stddev = {self.separation * self.blob_stddev:.3g} overflows float64: with "
+                f"blob_stddev {self.blob_stddev:.3g} in {self.dimension} dimensions the points' squared distances exceed its range"
             )
         if not 0.0 <= self.fraction_nonregistered <= 1.0:
             raise ValueError("fraction_nonregistered must be in [0, 1]")

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +251,28 @@ class TestErrorHandling:
         assert run(argv) == 1
         self.assert_one_error_line(capsys, "nested.json", "nested too deeply")
 
+    @pytest.mark.parametrize("command", ["match", "evaluate"])
+    def test_closed_deep_nest_in_metadata(self, emb, tmp_path, command):
+        """A valid file with a 200 000-deep nest: orjson would crash the process on it,
+        so the CLI runs in a subprocess, where a crash fails the test."""
+        path = tmp_path / "nested.json"
+        nest = "[" * 200_000 + "]" * 200_000
+        if command == "match":
+            head = '{"format": "clustermatch-store", "version": 1, "dimension": 32, "entries": [], "metadata": '
+            argv = ["match", "--in", emb, "--store", path, "--out", tmp_path / "l.tsv"]
+        else:
+            head = '{"format": "clustermatch-clustering", "version": 1, "num_clusters": 1, "assignments": [], "metadata": '
+            argv = ["evaluate", "--mode", "vmeasure", "--in", emb, "--clustering", path]
+        path.write_text(head + nest + "}")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "clustermatch.cli", *map(str, argv)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 1, done.stderr[-500:]
+        err = done.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "nested.json" in err[0] and "nested too deeply" in err[0]
+
     # (file text, what the error names besides the file)
     BAD_EMBEDDING_FILES = {
         "nan": ("#emb v1 dim=2\na\t\t\t\t1,2\nb\t\t\t\tnan,1\n", ":3:", "non-finite"),
@@ -303,7 +328,8 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--stddev", "inf"), ("--stddev", "nan"), ("--separation", "inf"), ("--separation", "nan"), ("--separation", "1e308")],
+        [("--stddev", "inf"), ("--stddev", "nan"), ("--separation", "inf"), ("--separation", "nan"), ("--separation", "1e308"),
+         ("--separation", "1e307")],  # a finite cube whose squared distances overflow
     )
     def test_synth_rejects_non_finite_sizes(self, tmp_path, capsys, flag, value):
         out = tmp_path / "faces.emb"

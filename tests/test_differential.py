@@ -248,6 +248,9 @@ K_SEARCH_CASES = {
     "regular-grid": (lambda: np.indices((5, 5, 5)).reshape(3, -1).T.astype(float), 4),
     "duplicated": (lambda: np.repeat(blobs(5, 80, 6, 4), 3, axis=0), 5),
     "noise": (lambda: np.random.default_rng(6).normal(size=(200, 32)), 3),
+    # non-blob data at n >= 1000, several distance-sum blocks
+    "noise-1200": (lambda: np.random.default_rng(11).normal(size=(1200, 32)), 4),
+    "integer-grid-1200": (lambda: np.random.default_rng(10).integers(0, 6, size=(1200, 3)).astype(float), 4),
 }
 
 
@@ -288,10 +291,8 @@ def test_ward_k_search_equals_per_k_search(name, shared_ward_trees):
             assert got.num_clusters == 1  # the best score is below 0.2
 
 
-# the K search cases, plus a non-blob case large enough for several distance-sum blocks
 SWEEP_CASES = {
     **{name: build for name, (build, _) in K_SEARCH_CASES.items()},
-    "integer-grid-1200": lambda: np.random.default_rng(10).integers(0, 6, size=(1200, 3)).astype(float),
     # tied means that round apart: a b kept from the split cluster's row would be off by an ulp
     "scaled-grid": lambda: np.random.default_rng(0).integers(0, 3, size=(150, 2)) * 0.3,
 }

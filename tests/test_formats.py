@@ -3,11 +3,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clustermatch.clustering import Clustering
 from clustermatch.formats import (
     FormatError,
     _atomic_write,
+    _nesting_depth,
     read_clustering,
     read_embeddings,
     read_face_labels,
@@ -106,6 +109,19 @@ class TestEmbeddingFile:
         "underscore-frame": ("1_0", "1,2"),
         "negative-frame": ("-1", "1,2"),
         "fractional-frame": ("1.5", "1,2"),
+        # JSON reads the first seven as something other than one float per component
+        # (the block must go to float()), and the next three as floats whose bits
+        # must be float()'s; a deep nest must not reach orjson at all
+        "json-nest": ("", "[1.5],2"),
+        "json-object": ("", "{},1"),
+        "json-string": ("", '"1",2'),
+        "json-literal": ("", "true,1"),
+        "json-integers": ("", "1,2"),
+        "json-integer-negative-zero": ("", "-0,1"),
+        "30-digit-integer": ("", "123456789012345678901234567890,1"),
+        "upper-case-exponent": ("", "1E5,1"),
+        "negative-zero-float": ("", "-0.0,0.0"),
+        "deep-nest": ("", "[" * 200_000 + "1" + "]" * 200_000 + ",1"),
     }
 
     @pytest.mark.parametrize("name", list(RECORDS))
@@ -238,6 +254,59 @@ class TestStoreFile:
         with pytest.raises(FormatError, match="s.json: unsupported store version"):
             read_store(path)
 
+    @pytest.mark.parametrize("count, loads", [(2**64 - 1, True), (2**64, False)], ids=["64-bit", "beyond-64-bit"])
+    def test_histogram_count_beyond_64_bits_is_rejected(self, tmp_path, store, count, loads):
+        """orjson reads an integer beyond 64 bits as a float, which no count may be."""
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["label_histogram"] = {"alice": count}
+        path.write_text(json.dumps(doc))
+        if loads:
+            assert read_store(path)[0].histograms[0] == {"alice": count}
+        else:
+            with pytest.raises(FormatError, match="s.json: entry 0: bad value for 'label_histogram'"):
+                read_store(path)
+
+    def test_lone_surrogate_loads_as_json_reads_it(self, tmp_path, store):
+        """orjson rejects a lone surrogate; json's reading of the file stands."""
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        path.write_text(path.read_text().replace('"bob"', '"\\ud800"'))
+        assert read_store(path)[0].labels == ("alice", "\ud800")
+
+
+def json_depth(value) -> int:
+    if isinstance(value, list):
+        return 1 + max(map(json_depth, value), default=0)
+    if isinstance(value, dict):
+        return 1 + max(map(json_depth, value.values()), default=0)
+    return 0
+
+
+# strings full of the characters the nesting scan must see through
+json_strings = st.text(alphabet='[]{}"\\/bnu,: x\u00e9\n', max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | json_strings,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestNestingDepth:
+    @given(json_values, st.booleans())
+    def test_equals_the_depth_of_the_parsed_value(self, value, ascii_only):
+        text = json.dumps(value, ensure_ascii=ascii_only)
+        assert _nesting_depth(text.encode("utf-8")) == json_depth(value)
+
+    @pytest.mark.parametrize(
+        "text, depth",
+        [(b"", 0), (b"1", 0), (b'"[["', 0), (b'["\\\\", [[]]]', 3), (b'["\\\\\\"[", [1]]', 2), (b'"\\x"[[]]', 2), (b"[" * 100, 100)],
+        ids=["empty", "scalar", "brackets-in-string", "escaped-backslash", "escaped-backslash-then-quote", "bad-escape", "unclosed"],
+    )
+    def test_invalid_or_edge_inputs(self, text, depth):
+        assert _nesting_depth(text) == depth
+
 
 class TestClusteringFile:
     def test_round_trip(self, tmp_path, sample_embeddings):
@@ -282,6 +351,21 @@ class TestClusteringFile:
         path = tmp_path / "c.json"
         self.write_doc(path, assignments=[["a", 0], ["b", index]])
         with pytest.raises(FormatError, match="c.json: assignment 1: expected \\[embedding id, cluster index\\]"):
+            read_clustering(path)
+
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            ([["a", 0], ["b", 2]], "assignment 1: cluster index 2 is outside 0..1"),
+            ([["a", 0], ["b", -1]], "assignment 1: cluster index -1 is outside 0..1"),
+            ([["a", 0], ["b", 1], ["a", 1]], "assignment 2: embedding id 'a' is listed twice"),
+        ],
+        ids=["beyond-num-clusters", "negative", "duplicate-id"],
+    )
+    def test_bad_assignment_is_named(self, tmp_path, assignments, message):
+        path = tmp_path / "c.json"
+        self.write_doc(path, assignments=assignments)
+        with pytest.raises(FormatError, match=f"c.json: {message}"):
             read_clustering(path)
 
     def test_top_level_list_rejected(self, tmp_path):
