@@ -7,19 +7,19 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .clustering import KSearchConfig
+from .clustering import DEFAULT_MIN_SILHOUETTE, DEFAULT_PATIENCE, KSearchConfig
 from .evaluation import contingency, score_video, v_measure
-from .matching import BEST_SILHOUETTE, CENTROID, MatchConfig
+from .matching import BEST_SILHOUETTE, CENTROID, DEFAULT_ALPHA, DEFAULT_THRESHOLD, MatchConfig
 from .pipeline import NON_REGISTERED, build_labeled_store, recognize, run_clustering
 from .synth import SynthConfig, generate_synthetic
-from .timeline import emit_timeline, format_segments, segments_to_records
+from .timeline import DEFAULT_FPS, emit_timeline, format_segments, segments_to_records
 
 _METHODS = {"centroid": CENTROID, "silhouette": BEST_SILHOUETTE}
 
 
 def _add_ksearch_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--patience", type=int, default=5, help="consecutive non-improvements before the K search stops")
-    p.add_argument("--min-silhouette", type=float, default=0.2, help="below this best score, collapse to one cluster")
+    p.add_argument("--patience", type=int, default=DEFAULT_PATIENCE, help="consecutive non-improvements before the K search stops")
+    p.add_argument("--min-silhouette", type=float, default=DEFAULT_MIN_SILHOUETTE, help="below this best score, collapse to one cluster")
     p.add_argument("--max-clusters", type=int, default=None)
 
 
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="recognize a video embedding file against a store")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--store", required=True)
-    p.add_argument("--alpha", type=int, default=5)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--embedding-method", choices=["centroid", "silhouette"], default="centroid")
     p.add_argument("--algo", choices=["kmeans", "ward"], default="ward")
     p.add_argument("--seed", type=int, default=0)
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timeline", help="emit per-identity timeline segments")
     p.add_argument("--labels", required=True, help="face label file with frame indices")
-    p.add_argument("--fps", type=float, default=1.0)
+    p.add_argument("--fps", type=float, default=DEFAULT_FPS)
     p.add_argument("--out", required=True)
     p.add_argument("--json", help="machine-readable segment file")
     p.set_defaults(func=cmd_timeline)

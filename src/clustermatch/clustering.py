@@ -114,8 +114,12 @@ def kmeans(data, k: int, seed: int = 0) -> Clustering:
     Always returns exactly k non-empty clusters: an emptied cluster is reseeded
     with the point farthest from its current centroid. The within-cluster
     sum-of-squares objective is checked to be non-increasing every iteration.
+    The data are centred first: the expanded squared distances below round in
+    proportion to ||x||^2, so data far from the origin would otherwise cluster
+    differently from the same data shifted back.
     """
     mat = as_matrix(data)
+    mat = mat - mat.mean(axis=0)
     n = mat.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -169,27 +173,26 @@ def kmeans(data, k: int, seed: int = 0) -> Clustering:
 # affinity propagation
 
 
-def affinity_propagation(
-    data,
-    damping: float = 0.5,
-    max_iter: int = 200,
-    convergence_iter: int = 15,
-) -> Clustering:
-    """Responsibility/availability message passing over negative squared distances.
+_AP_DAMPING = 0.5
+_AP_MAX_ITER = 200
+_AP_CONVERGENCE_ITER = 15
 
-    Preference is the median of the off-diagonal similarities. If the exemplar
-    set never stabilizes, the current assignment is returned with
-    ``converged=False``; if no exemplar emerges at all, every point collapses
-    into one cluster. A run whose n x n arrays would not fit in physical memory,
-    or whose squared distances would overflow, raises ValueError before
-    allocating any of them.
+
+def affinity_propagation(data) -> Clustering:
+    """Responsibility/availability message passing over negative squared distances,
+    damped by 0.5, for at most 200 iterations.
+
+    Preference is the median of the off-diagonal similarities. The run ends once
+    the exemplar set has stayed the same for 15 iterations. If it never
+    stabilizes, the current assignment is returned with ``converged=False``; if
+    no exemplar emerges at all, every point collapses into one cluster. A run
+    whose n x n arrays would not fit in physical memory, or whose squared
+    distances would overflow, raises ValueError before allocating any of them.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
     if n < 2:
         raise ValueError("affinity propagation requires at least 2 points")
-    if not 0.5 <= damping < 1.0:
-        raise ValueError("damping must be in [0.5, 1)")
     _check_memory(n, "affinity_propagation")
 
     sq = squared_norms(mat)
@@ -206,7 +209,7 @@ def affinity_propagation(
     exemplars: np.ndarray | None = None
     converged = False
 
-    for _ in range(max_iter):
+    for _ in range(_AP_MAX_ITER):
         # responsibilities
         AS = A + S
         first = np.max(AS, axis=1)
@@ -215,7 +218,7 @@ def affinity_propagation(
         second = np.max(AS, axis=1)
         Rnew = S - first[:, None]
         Rnew[idx, first_idx] = S[idx, first_idx] - second
-        R = damping * R + (1.0 - damping) * Rnew
+        R = _AP_DAMPING * R + (1.0 - _AP_DAMPING) * Rnew
 
         # availabilities
         Rp = np.maximum(R, 0.0)
@@ -225,12 +228,12 @@ def affinity_propagation(
         diag = Anew.diagonal().copy()
         Anew = np.minimum(Anew, 0.0)
         np.fill_diagonal(Anew, diag)
-        A = damping * A + (1.0 - damping) * Anew
+        A = _AP_DAMPING * A + (1.0 - _AP_DAMPING) * Anew
 
         ex = np.flatnonzero((R.diagonal() + A.diagonal()) > 0)
         if exemplars is not None and np.array_equal(ex, exemplars):
             stable += 1
-            if stable >= convergence_iter and ex.size > 0:
+            if stable >= _AP_CONVERGENCE_ITER and ex.size > 0:
                 converged = True
                 exemplars = ex
                 break

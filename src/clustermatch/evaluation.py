@@ -61,22 +61,12 @@ class MatchMetrics:
 
 
 @dataclass(frozen=True)
-class FrameDetail:
-    frame_index: int
-    n_truth: int
-    n_predictions: int
-    n_correct: int
-    exact: bool
-
-
-@dataclass(frozen=True)
 class VideoScore:
     precision: float
     recall: float
     f1: float
     n_frames: int
     n_exact_frames: int
-    frames: tuple[FrameDetail, ...]
 
 
 def contingency(true_labels, assignments) -> ContingencyTable:
@@ -240,26 +230,16 @@ def score_video(ground_truth, predictions) -> VideoScore:
 
     total_truth = sum(len(v) for v in truth.values())
     total_preds = sum(len(v) for v in preds.values())
+    frames = set(truth) | set(preds)
     correct = 0
-    details = []
     exact_frames = 0
-    for frame_index in sorted(set(truth) | set(preds)):
+    for frame_index in frames:
         t = truth.get(frame_index, {})
         p = preds.get(frame_index, {})
         frame_correct = sum(1 for fid, lab in p.items() if t.get(fid) == lab)
         correct += frame_correct
-        exact = frame_correct == len(t) and len(p) == len(t)
-        if exact:
+        if frame_correct == len(t) and len(p) == len(t):
             exact_frames += 1
-        details.append(
-            FrameDetail(
-                frame_index=frame_index,
-                n_truth=len(t),
-                n_predictions=len(p),
-                n_correct=frame_correct,
-                exact=exact,
-            )
-        )
 
     precision = correct / total_preds if total_preds else 0.0
     recall = correct / total_truth if total_truth else 0.0
@@ -268,7 +248,6 @@ def score_video(ground_truth, predictions) -> VideoScore:
         precision=precision,
         recall=recall,
         f1=f1,
-        n_frames=len(details),
+        n_frames=len(frames),
         n_exact_frames=exact_frames,
-        frames=tuple(details),
     )

@@ -34,10 +34,6 @@ class FormatError(ValueError):
     """A file failed to parse; the message names the offending line, or entry and key."""
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _atomic_write(path: str | Path, text: str) -> None:
     """Write through a temporary file of its own in the target's directory, then rename it.
     A failure is reported against the target path: the temporary name is random."""
@@ -163,27 +159,18 @@ _NUMBER_TYPES = frozenset({float, int})
 # embedding files
 
 
-def write_embeddings(embeddings: Sequence[Embedding], path: str | Path) -> None:
-    """Write a `#emb v1` file: header, then one tab-separated record per embedding."""
-    embeddings = list(embeddings)
-    if not embeddings:
+def write_embeddings(embeddings: Iterable[Embedding], path: str | Path) -> None:
+    """Write a `#emb v1` file: header, then one tab-separated record per embedding.
+    Each vector component is written with ``repr``, so a round trip is bit-exact."""
+    faces = EmbeddingSet.of(embeddings)
+    if not len(faces):
         raise ValueError("refusing to write an empty embedding file")
-    dim = embeddings[0].dim
-    lines = [f"{EMBEDDING_HEADER_PREFIX}{dim}"]
-    for e in embeddings:
-        if e.dim != dim:
-            raise ValueError(f"embedding {e.id!r} has dimension {e.dim}, file has {dim}")
-        lines.append(
-            "\t".join(
-                [
-                    e.id,
-                    e.video_id or "",
-                    "" if e.frame_index is None else str(e.frame_index),
-                    e.true_label or "",
-                    ",".join(_fmt_float(x) for x in e.vector),
-                ]
-            )
-        )
+    lines = [f"{EMBEDDING_HEADER_PREFIX}{faces.dim}"]
+    for face_id, video_id, frame, label, vector in zip(
+        faces.ids, faces.video_ids, faces.frame_indices, faces.true_labels, faces.vectors.tolist()
+    ):
+        frame = "" if frame is None else frame
+        lines.append(f"{face_id}\t{video_id or ''}\t{frame}\t{label or ''}\t{','.join(map(repr, vector))}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .geometry import Embedding
+from .geometry import EmbeddingSet
 
 _MAX_CENTER_ATTEMPTS = 1000
 
@@ -28,13 +29,20 @@ class SynthConfig:
             raise ValueError(
                 f"blob_stddev and separation must be positive and finite, got {self.blob_stddev} and {self.separation}"
             )
-        # a bound on every coordinate (the cube plus 10 stddevs of noise); 4 d reach^2 bounds
-        # every squared distance and is what clustering's own overflow check computes
+        # reach bounds every coordinate (the cube plus 10 stddevs of noise), so M = 4 d reach^2
+        # bounds every squared distance, between points or centroids. A Ward merge cost between
+        # clusters of sizes a and b is a b / (a + b) times such a distance. Merging a and b, the
+        # Lance-Williams update for a third cluster of size c adds (a + c) and (b + c) times its
+        # costs to a and b, at most a c M + b c M, and subtracts c times the merge cost, at most
+        # c min(a, b) M: every term is at most c (a + b) M. As a + b + c <= n points,
+        # c (a + b) <= n^2 / 4, so every term is finite when n^2 / 4 M = n^2 d reach^2 is.
+        n = self.num_identities * self.points_per_identity
         reach = self.cube_side + 10.0 * self.blob_stddev
-        if not math.isfinite(4.0 * self.dimension * reach * reach):
+        if not math.isfinite(n * n * self.dimension * reach * reach):
             raise ValueError(
                 f"separation x blob_stddev = {self.separation * self.blob_stddev:.3g} overflows float64: with "
-                f"blob_stddev {self.blob_stddev:.3g} in {self.dimension} dimensions the points' squared distances exceed its range"
+                f"blob_stddev {self.blob_stddev:.3g} in {self.dimension} dimensions, Ward's merge costs over "
+                f"{n} points exceed its range"
             )
         if not 0.0 <= self.fraction_nonregistered <= 1.0:
             raise ValueError("fraction_nonregistered must be in [0, 1]")
@@ -51,18 +59,18 @@ class SynthConfig:
 class SyntheticDataset:
     """Generated embeddings plus the ground truth behind them."""
 
-    embeddings: tuple[Embedding, ...]
+    embeddings: EmbeddingSet
     centers: tuple[tuple[float, ...], ...]
     labels: tuple[str, ...]  # per identity, parallel to centers
     registered_labels: frozenset[str]
     nonregistered_labels: frozenset[str]
     config: SynthConfig
 
-    def registered(self) -> list[Embedding]:
-        return [e for e in self.embeddings if e.true_label in self.registered_labels]
+    def registered(self) -> EmbeddingSet:
+        return self.embeddings.select([label in self.registered_labels for label in self.embeddings.true_labels])
 
-    def nonregistered(self) -> list[Embedding]:
-        return [e for e in self.embeddings if e.true_label in self.nonregistered_labels]
+    def nonregistered(self) -> EmbeddingSet:
+        return self.embeddings.select([label in self.nonregistered_labels for label in self.embeddings.true_labels])
 
 
 def _place_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
@@ -84,6 +92,23 @@ def _place_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(centers)
 
 
+def _sample_blobs(centers, labels, points_per_identity, stddev, rng, video_id, id_prefix) -> EmbeddingSet:
+    """``points_per_identity`` Gaussian points around each centre, identity after
+    identity: one draw of all the noise takes the same numbers from ``rng`` as
+    one draw per identity in turn. Point f of identity ``label`` has id
+    ``{id_prefix}{label}-{f:04d}`` and frame index f."""
+    points = np.repeat(centers, points_per_identity, axis=0)
+    points += rng.normal(0.0, stddev, size=points.shape)
+    frames = range(points_per_identity)
+    return EmbeddingSet(
+        ids=[f"{id_prefix}{label}-{f:04d}" for label in labels for f in frames],
+        vectors=points,
+        video_ids=(video_id,) * len(points),
+        frame_indices=[f for _ in labels for f in frames],
+        true_labels=[label for label in labels for _ in frames],
+    )
+
+
 def generate_synthetic(config: SynthConfig, video_id: str = "synth") -> SyntheticDataset:
     """Isotropic Gaussian blobs, one identity per blob, deterministic per seed.
 
@@ -98,26 +123,11 @@ def generate_synthetic(config: SynthConfig, video_id: str = "synth") -> Syntheti
     labels = tuple(f"id-{i:03d}" for i in range(config.num_identities))
     n_nonreg = int(np.ceil(config.fraction_nonregistered * config.num_identities)) if config.fraction_nonregistered > 0 else 0
     nonreg = frozenset(labels[config.num_identities - n_nonreg:]) if n_nonreg else frozenset()
-    registered = frozenset(labels) - nonreg
-
-    embeddings = []
-    for i, label in enumerate(labels):
-        points = centers[i] + rng.normal(0.0, config.blob_stddev, size=(config.points_per_identity, config.dimension))
-        for f, p in enumerate(points):
-            embeddings.append(
-                Embedding(
-                    id=f"{label}-{f:04d}",
-                    vector=tuple(float(x) for x in p),
-                    video_id=video_id,
-                    frame_index=f,
-                    true_label=label,
-                )
-            )
     return SyntheticDataset(
-        embeddings=tuple(embeddings),
+        embeddings=_sample_blobs(centers, labels, config.points_per_identity, config.blob_stddev, rng, video_id, ""),
         centers=tuple(tuple(float(x) for x in c) for c in centers),
         labels=labels,
-        registered_labels=registered,
+        registered_labels=frozenset(labels) - nonreg,
         nonregistered_labels=nonreg,
         config=config,
     )
@@ -129,26 +139,11 @@ def sample_more(
     seed: int,
     video_id: str = "query",
     include_nonregistered: bool = True,
-) -> tuple[Embedding, ...]:
+) -> EmbeddingSet:
     """Draw a fresh batch of points around the same centers (e.g. a query video)."""
     if points_per_identity < 1:
         raise ValueError("points_per_identity must be positive")
+    keep = [include_nonregistered or label not in dataset.nonregistered_labels for label in dataset.labels]
+    centers, labels = np.asarray(dataset.centers)[keep], list(compress(dataset.labels, keep))
     rng = np.random.default_rng(seed)
-    cfg = dataset.config
-    out = []
-    for i, label in enumerate(dataset.labels):
-        if not include_nonregistered and label in dataset.nonregistered_labels:
-            continue
-        center = np.asarray(dataset.centers[i])
-        points = center + rng.normal(0.0, cfg.blob_stddev, size=(points_per_identity, cfg.dimension))
-        for f, p in enumerate(points):
-            out.append(
-                Embedding(
-                    id=f"{video_id}-{label}-{f:04d}",
-                    vector=tuple(float(x) for x in p),
-                    video_id=video_id,
-                    frame_index=f,
-                    true_label=label,
-                )
-            )
-    return tuple(out)
+    return _sample_blobs(centers, labels, points_per_identity, dataset.config.blob_stddev, rng, video_id, f"{video_id}-")

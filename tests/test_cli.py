@@ -10,7 +10,13 @@ import pytest
 from clustermatch import clustering as clustering_module
 from clustermatch.cli import main
 from clustermatch.clustering import WardTree
+from clustermatch.clustering import KSearchConfig
+from clustermatch.cli import build_parser
 from clustermatch.formats import read_embeddings, read_face_labels, read_store, write_embeddings, write_store
+from clustermatch.geometry import Embedding, EmbeddingSet
+from clustermatch.matching import MatchConfig
+from clustermatch.synth import SynthConfig, generate_synthetic
+from clustermatch.timeline import DEFAULT_FPS
 
 SYNTH = [
     "synth",
@@ -46,6 +52,39 @@ class TestSynth:
         withheld = sidecar.read_text().split()
         assert len(withheld) == 2
 
+    def test_builds_no_per_face_objects(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("synth built an Embedding")
+
+        monkeypatch.setattr(Embedding, "__post_init__", refuse)
+        out = tmp_path / "train.emb"
+        argv = SYNTH + ["--fraction-nonregistered", "0.4", "--out", out, "--nonregistered-out", tmp_path / "withheld.txt"]
+        assert run(argv) == 0
+        assert len(read_embeddings(out)) == 50
+
+    def test_scale_below_the_bound_clusters(self, tmp_path):
+        # 12 points in 2 dimensions accept separations up to about 2.28e152
+        out = tmp_path / "wide.emb"
+        assert run(["synth", "--identities", "3", "--points", "4", "--dim", "2", "--separation", "2.2e151", "--out", out]) == 0
+        clustering = tmp_path / "cl.json"
+        assert run(["cluster", "--in", out, "--auto-k", "--out", clustering]) == 0
+        assert json.loads(clustering.read_text())["num_clusters"] == 3
+
+
+class TestDefaults:
+    def test_parser_defaults_are_the_library_defaults(self):
+        parse = build_parser().parse_args
+        ksearch, match = KSearchConfig(), MatchConfig()
+        parsed = [parse([*argv, "--in", "f.emb", "--out", "out"]) for argv in (["cluster"], ["label"], ["match", "--store", "s.json"])]
+        for args in parsed:
+            assert (args.patience, args.min_silhouette, args.max_clusters) == (
+                ksearch.patience,
+                ksearch.min_silhouette,
+                ksearch.max_clusters,
+            )
+        assert (parsed[2].alpha, parsed[2].threshold) == (match.alpha, match.probability_threshold)
+        assert parse(["timeline", "--labels", "l.tsv", "--out", "t.tsv"]).fps == DEFAULT_FPS
+
 
 class TestClusterAndEvaluate:
     def test_auto_k_recovers_identities(self, tmp_path, capsys):
@@ -71,6 +110,21 @@ class TestClusterAndEvaluate:
         clustering = tmp_path / "cl.json"
         assert run(["cluster", "--in", emb, "--algo", "kmeans", "--k", "5", "--out", clustering]) == 0
         assert json.loads(clustering.read_text())["num_clusters"] == 5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cluster", "--k", "6"], ["cluster", "--auto-k"], ["label", "--k", "6"]],
+        ids=["cluster-k6", "cluster-auto-k", "label-k6"],
+    )
+    def test_kmeans_far_from_the_origin(self, tmp_path, argv):
+        # every component shifted by 1e7: uncentred k-means raised "objective increased" here
+        faces = generate_synthetic(SynthConfig(6, 30, 16, blob_stddev=0.3, seed=1)).embeddings
+        far = EmbeddingSet(faces.ids, faces.vectors + 1e7, faces.video_ids, faces.frame_indices, faces.true_labels)
+        emb = tmp_path / "far.emb"
+        write_embeddings(far, emb)
+        out = tmp_path / "out.json"
+        assert run([*argv, "--algo", "kmeans", "--in", emb, "--out", out]) == 0
+        assert out.exists()
 
     def test_affinity_propagation_needs_no_k(self, tmp_path):
         emb = tmp_path / "train.emb"
@@ -335,6 +389,13 @@ class TestErrorHandling:
         out = tmp_path / "faces.emb"
         assert run(["synth", "--identities", "5", "--points", "10", "--dim", "32", flag, value, "--out", out]) == 1
         self.assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_synth_scale_that_ward_cannot_merge(self, tmp_path, capsys):
+        # squared distances fit float64, but Ward's size-weighted merge costs over 12 points do not
+        out = tmp_path / "faces.emb"
+        assert run(["synth", "--identities", "3", "--points", "4", "--dim", "2", "--separation", "1.2e153", "--out", out]) == 1
+        self.assert_one_error_line(capsys, "overflows", "12 points")
         assert not out.exists()
 
     def test_timeline_needs_frames(self, tmp_path, capsys):

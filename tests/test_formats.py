@@ -84,6 +84,21 @@ class TestEmbeddingFile:
         with pytest.raises(ValueError):
             write_embeddings([], tmp_path / "e.emb")
 
+    def test_refuses_empty_set_write(self, tmp_path, sample_embeddings):
+        with pytest.raises(ValueError, match="empty"):
+            write_embeddings(EmbeddingSet.of(sample_embeddings).select([]), tmp_path / "e.emb")
+
+    def test_set_and_its_embeddings_write_the_same_bytes(self, tmp_path, sample_embeddings):
+        faces = EmbeddingSet.of(sample_embeddings)
+        write_embeddings(faces, tmp_path / "set.emb")
+        write_embeddings(list(faces), tmp_path / "list.emb")
+        assert (tmp_path / "set.emb").read_bytes() == (tmp_path / "list.emb").read_bytes()
+        assert (tmp_path / "set.emb").read_text().splitlines()[1:] == [
+            "a\tvid1\t0\talice\t1.0,2.5",
+            "b\t\t\t\t0.1,-3.75",
+            "c\t\t12\t\t0.3333333333333333,0.2857142857142857",
+        ]
+
     def test_mixed_dimension_write_rejected(self, tmp_path):
         embs = [Embedding(id="a", vector=(1.0,)), Embedding(id="b", vector=(1.0, 2.0))]
         with pytest.raises(ValueError):

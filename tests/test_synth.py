@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from clustermatch.clustering import estimate_clustering
-from clustermatch.geometry import as_matrix
+from clustermatch.formats import write_embeddings
+from clustermatch.geometry import Embedding, EmbeddingSet, as_matrix
 from clustermatch.synth import SynthConfig, generate_synthetic, sample_more
 
 
@@ -29,6 +30,13 @@ class TestSynthConfig:
     def test_rejects_non_finite_sizes(self, sizes):
         with pytest.raises(ValueError, match="finite|overflows"):
             SynthConfig(2, 10, 4, **sizes)
+
+    def test_scale_bound_counts_the_points(self):
+        # Ward's merge costs carry cluster-size factors up to n^2 / 4: the same scale
+        # that 3 points take overflows them for 300
+        SynthConfig(3, 1, 2, separation=1e152)
+        with pytest.raises(ValueError, match="300 points"):
+            SynthConfig(3, 100, 2, separation=1e152)
 
 
 class TestGenerate:
@@ -63,6 +71,8 @@ class TestGenerate:
         assert len(ds.registered_labels) == 10
         assert len(ds.registered()) == 20
         assert len(ds.nonregistered()) == 20
+        assert set(ds.registered().true_labels) == ds.registered_labels
+        assert ds.registered().ids + ds.nonregistered().ids == ds.embeddings.ids
 
     def test_frame_indices_per_identity(self):
         ds = generate_synthetic(SynthConfig(2, 4, 8, seed=5))
@@ -85,6 +95,18 @@ class TestGenerate:
         assert cl.num_clusters == 4
 
 
+def test_builds_no_per_face_objects(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("built an Embedding")
+
+    monkeypatch.setattr(Embedding, "__post_init__", refuse)
+    ds = generate_synthetic(SynthConfig(4, 3, 8, seed=11, fraction_nonregistered=0.25))
+    video = sample_more(ds, 2, seed=12)
+    for faces in (ds.embeddings, ds.registered(), ds.nonregistered(), video):
+        assert isinstance(faces, EmbeddingSet)
+        write_embeddings(faces, tmp_path / "faces.emb")
+
+
 class TestSampleMore:
     def test_fresh_points_same_centers(self):
         ds = generate_synthetic(SynthConfig(3, 4, 8, seed=7))
@@ -99,3 +121,10 @@ class TestSampleMore:
         ds = generate_synthetic(SynthConfig(4, 2, 8, seed=9, fraction_nonregistered=0.25))
         extra = sample_more(ds, 3, seed=10, include_nonregistered=False)
         assert {e.true_label for e in extra} == set(ds.registered_labels)
+
+    def test_same_draw_with_or_without_the_withheld(self):
+        # identities are drawn in order, so dropping the last (withheld) one leaves the others' points as they were
+        ds = generate_synthetic(SynthConfig(4, 2, 8, seed=9, fraction_nonregistered=0.25))
+        every = sample_more(ds, 3, seed=10)
+        registered = sample_more(ds, 3, seed=10, include_nonregistered=False)
+        assert registered == every.select(slice(0, 9))
