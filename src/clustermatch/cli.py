@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .clustering import DEFAULT_MIN_SILHOUETTE, DEFAULT_PATIENCE, KSearchConfig
+from .clustering import KSearchConfig
 from .evaluation import contingency, score_video, v_measure
 from .matching import BEST_SILHOUETTE, CENTROID, DEFAULT_ALPHA, DEFAULT_THRESHOLD, MatchConfig
 from .pipeline import NON_REGISTERED, build_labeled_store, recognize, run_clustering
@@ -18,17 +18,15 @@ _METHODS = {"centroid": CENTROID, "silhouette": BEST_SILHOUETTE}
 
 
 def _add_ksearch_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--patience", type=int, default=DEFAULT_PATIENCE, help="consecutive non-improvements before the K search stops")
-    p.add_argument("--min-silhouette", type=float, default=DEFAULT_MIN_SILHOUETTE, help="below this best score, collapse to one cluster")
-    p.add_argument("--max-clusters", type=int, default=None)
+    p.add_argument("--patience", type=int, help="consecutive non-improvements before the K search stops")
+    p.add_argument("--min-silhouette", type=float, help="below this best score, collapse to one cluster")
+    p.add_argument("--max-clusters", type=int)
 
 
 def _ksearch(args) -> KSearchConfig:
-    return KSearchConfig(
-        patience=args.patience,
-        min_silhouette=args.min_silhouette,
-        max_clusters=args.max_clusters,
-    )
+    """The K search the flags ask for; a flag left out takes ``KSearchConfig``'s default."""
+    given = {"patience": args.patience, "min_silhouette": args.min_silhouette, "max_clusters": args.max_clusters}
+    return KSearchConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def cmd_synth(args) -> int:
@@ -68,20 +66,15 @@ def cmd_label(args) -> int:
         excluded = set(Path(args.exclude_labels_file).read_text(encoding="utf-8").split())
         embeddings = embeddings.select([label not in excluded for label in embeddings.true_labels])
     k = None if args.auto_k else args.k
-    store = build_labeled_store(
-        embeddings,
-        algorithm={"kmeans": "kmeans", "ward": "ward"}[args.algo],
-        k=k,
-        ksearch=_ksearch(args),
-        seed=args.seed,
-    )
+    ksearch = _ksearch(args)
+    store = build_labeled_store(embeddings, algorithm=args.algo, k=k, ksearch=ksearch, seed=args.seed)
     metadata = {
         "algorithm": args.algo,
         "k": k,
         "auto_k": args.auto_k,
         "seed": args.seed,
-        "patience": args.patience,
-        "min_silhouette": args.min_silhouette,
+        "patience": ksearch.patience,
+        "min_silhouette": ksearch.min_silhouette,
     }
     formats.write_store(store, args.out, metadata=metadata)
     print(f"wrote store with {len(store)} labeled clusters to {args.out}")
@@ -270,7 +263,13 @@ def main(argv=None) -> int:
             parser.error("--mode vmeasure requires --in and --clustering")
         if args.mode == "video" and not (args.truth and args.pred):
             parser.error("--mode video requires --truth and --pred")
-    if args.command in ("cluster", "label") and not args.auto_k and args.k is None and args.algo != "ap":
+    if args.command == "cluster" and args.algo == "ap":
+        flags = {"--k": args.k, "--auto-k": args.auto_k or None, "--patience": args.patience,
+                 "--min-silhouette": args.min_silhouette, "--max-clusters": args.max_clusters}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            parser.error(f"--algo ap finds its own number of clusters and takes no {', '.join(given)}")
+    elif args.command in ("cluster", "label") and not args.auto_k and args.k is None:
         parser.error("either --k or --auto-k is required")
     try:
         return args.func(args)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import as_matrix, mirror_upper, pairwise_distances, squared_norms
+from .geometry import _freeze, as_matrix, mirror_upper, pairwise_distances, squared_norms
 
 DEFAULT_PATIENCE = 5
 DEFAULT_MIN_SILHOUETTE = 0.2
@@ -79,10 +79,12 @@ class SilhouetteReport:
 
 
 def _relabel(labels: np.ndarray) -> tuple[tuple[int, ...], int]:
-    """Map arbitrary cluster labels to dense 0-based indices in order of first appearance."""
-    mapping: dict[int, int] = {}
-    dense = tuple(mapping.setdefault(int(lab), len(mapping)) for lab in labels)
-    return dense, len(mapping)
+    """Map arbitrary cluster labels to dense 0-based indices in order of first appearance.
+    For a partition of the points this numbers each cluster by its smallest point."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return tuple(rank[inverse].tolist()), len(first)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +307,7 @@ class WardTree:
             starts[b] = starts[n + t] + sizes[a]
         order = np.empty(n, dtype=np.intp)
         order[starts[:n]] = np.arange(n)
-        for name, value in (("children", children), ("sizes", sizes), ("starts", starts), ("order", order)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        _freeze(self, children=children, sizes=sizes, starts=starts, order=order)
 
     def points(self, node: int) -> np.ndarray:
         """The points under ``node``, as a slice of the leaf order."""
@@ -324,12 +324,10 @@ class WardTree:
         nodes = np.append(self.children[done:].ravel(), 2 * n - 2)
         nodes = nodes[nodes < n + done]
         nodes = nodes[np.argsort(self.starts[nodes])]
-        first = np.minimum.reduceat(self.order, self.starts[nodes])
-        labels = np.empty(k, dtype=np.intp)
-        labels[np.argsort(first)] = np.arange(k)
-        assignments = np.empty(n, dtype=np.intp)
-        assignments[self.order] = np.repeat(labels, self.sizes[nodes])
-        return Clustering(assignments=tuple(assignments.tolist()), num_clusters=k)
+        node_of = np.empty(n, dtype=np.intp)
+        node_of[self.order] = np.repeat(nodes, self.sizes[nodes])
+        assignments, _ = _relabel(node_of)
+        return Clustering(assignments=assignments, num_clusters=k)
 
 
 def ward_tree(data, dist: np.ndarray | None = None) -> WardTree:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,25 +24,22 @@ EMBEDDING_HEADER_PREFIX = "#emb v1 dim="
 STORE_VERSION = 1
 CLUSTERING_VERSION = 1
 
-# mkstemp creates 0600 files; written files get the usual 0666 & ~umask instead
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
 
 class FormatError(ValueError):
     """A file failed to parse; the message names the offending line, or entry and key."""
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
-    """Write through a temporary file of its own in the target's directory, then rename it.
+    """Write through a new temporary file in the target's directory, then rename it.
+    The file is created with mode 0666, less the umask in force, as ``open`` creates one.
     A failure is reported against the target path: the temporary name is random."""
     path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
                 f.write(text)
-            os.chmod(tmp, 0o666 & ~_UMASK)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

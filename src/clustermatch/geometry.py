@@ -2,7 +2,6 @@
 primitives used everywhere else."""
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -12,6 +11,51 @@ Vector = Sequence[float]
 
 # rows, and edge of the square tiles, that pairwise_distances and mirror_upper handle at a time
 DISTANCE_BLOCK = 256
+
+
+def _freeze(obj, **values) -> None:
+    """Set attributes on ``obj``, which refuses assignment, making each array among them read-only."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
+class _FrozenColumns:
+    """Base of the immutable column sets. ``__init__`` sets the columns once, through
+    ``_freeze``; after that assignment is refused, ``==`` compares every column
+    (arrays by value) and an instance is unhashable."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        theirs = vars(other)
+        return all(
+            np.array_equal(mine, theirs[name]) if isinstance(mine, np.ndarray) else mine == theirs[name]
+            for name, mine in vars(self).items()
+        )
+
+    __hash__ = None
+
+
+def _check_rows(ids: tuple, vectors: np.ndarray, frame_indices: tuple, *columns: tuple) -> None:
+    """Raise ValueError unless the columns hold embeddings: one row of d >= 1 finite
+    components per non-empty id, and every frame index, where given, non-negative.
+    ``columns`` are the other per-embedding columns, whose lengths are checked."""
+    if vectors.ndim != 2 or vectors.shape[1] < 1:
+        raise ValueError(f"embedding vectors must form an (n, d) matrix with d >= 1, got shape {vectors.shape}")
+    if any(len(column) != vectors.shape[0] for column in (ids, frame_indices, *columns)):
+        raise ValueError("embedding set columns differ in length")
+    if not all(ids):
+        raise ValueError("embedding id must be a non-empty string")
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"embedding {ids[int(finite.argmin())]!r} has non-finite components")
+    if any(f is not None and f < 0 for f in frame_indices):
+        raise ValueError("frame_index must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -25,23 +69,16 @@ class Embedding:
     true_label: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("embedding id must be a non-empty string")
-        vec = tuple(float(x) for x in self.vector)
-        if len(vec) < 1:
-            raise ValueError("embedding vector must have at least one component")
-        if not all(math.isfinite(x) for x in vec):
-            raise ValueError(f"embedding {self.id!r} has non-finite components")
-        object.__setattr__(self, "vector", vec)
-        if self.frame_index is not None and self.frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
+        row = np.array([tuple(self.vector)], dtype=np.float64)
+        _check_rows((self.id,), row, (self.frame_index,))
+        object.__setattr__(self, "vector", tuple(row[0].tolist()))
 
     @property
     def dim(self) -> int:
         return len(self.vector)
 
 
-class EmbeddingSet(Sequence[Embedding]):
+class EmbeddingSet(_FrozenColumns, Sequence[Embedding]):
     """An immutable, ordered set of embeddings held as columns.
 
     Embedding i is item i of the tuples ``ids``, ``video_ids``,
@@ -52,27 +89,12 @@ class EmbeddingSet(Sequence[Embedding]):
 
     def __init__(self, ids, vectors, video_ids=None, frame_indices=None, true_labels=None) -> None:
         ids = tuple(ids)
-        n = len(ids)
+        video_ids, frame_indices, true_labels = (
+            (None,) * len(ids) if column is None else tuple(column) for column in (video_ids, frame_indices, true_labels)
+        )
         vectors = np.array(vectors, dtype=np.float64)
-        columns = {
-            "video_ids": (None,) * n if video_ids is None else tuple(video_ids),
-            "frame_indices": (None,) * n if frame_indices is None else tuple(frame_indices),
-            "true_labels": (None,) * n if true_labels is None else tuple(true_labels),
-        }
-        if vectors.ndim != 2 or vectors.shape[1] < 1:
-            raise ValueError(f"embedding vectors must form an (n, d) matrix with d >= 1, got shape {vectors.shape}")
-        if vectors.shape[0] != n or any(len(column) != n for column in columns.values()):
-            raise ValueError("embedding set columns differ in length")
-        if not all(ids):
-            raise ValueError("embedding id must be a non-empty string")
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"embedding {ids[int(finite.argmin())]!r} has non-finite components")
-        if any(f is not None and f < 0 for f in columns["frame_indices"]):
-            raise ValueError("frame_index must be non-negative")
-        vectors.flags.writeable = False
-        for name, value in (("ids", ids), ("vectors", vectors), *columns.items()):
-            object.__setattr__(self, name, value)
+        _check_rows(ids, vectors, frame_indices, video_ids, true_labels)
+        _freeze(self, ids=ids, vectors=vectors, video_ids=video_ids, frame_indices=frame_indices, true_labels=true_labels)
 
     @classmethod
     def of(cls, embeddings: Iterable[Embedding]) -> EmbeddingSet:
@@ -104,9 +126,6 @@ class EmbeddingSet(Sequence[Embedding]):
             true_labels=[self.true_labels[i] for i in rows],
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EmbeddingSet is immutable; cannot set {name!r}")
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
@@ -124,19 +143,6 @@ class EmbeddingSet(Sequence[Embedding]):
             frame_index=self.frame_indices[index],
             true_label=self.true_labels[index],
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmbeddingSet):
-            return NotImplemented
-        return (
-            self.ids == other.ids
-            and self.video_ids == other.video_ids
-            and self.frame_indices == other.frame_indices
-            and self.true_labels == other.true_labels
-            and np.array_equal(self.vectors, other.vectors)
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"EmbeddingSet({len(self)} embeddings, dim={self.dim})"
@@ -212,6 +218,10 @@ def pairwise_distances(data: np.ndarray) -> np.ndarray:
     # one memory layout gives one Gram matrix, and so the same bits, whatever the
     # caller's layout; for C order numpy's mat @ mat.T is exactly symmetric
     mat = np.ascontiguousarray(as_matrix(data))
+    # centred, since the expanded squares below round in proportion to ||x||^2; on the
+    # C copy, so the mean's sum order is the same for every layout; by a rounded mean,
+    # so integer data keep exact differences
+    mat = mat - np.round(mat.mean(axis=0))
     sq = squared_norms(mat)
     d = mat @ mat.T
     n = d.shape[0]

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .clustering import Clustering, silhouette
-from .geometry import as_matrix, rmse
+from .geometry import _freeze, _FrozenColumns, as_matrix, rmse
 
 CENTROID = "centroid"
 BEST_SILHOUETTE = "best_silhouette_sample"
@@ -26,7 +26,7 @@ DEFAULT_THRESHOLD = 0.5
 RMSE_EPSILON = 1e-12
 
 
-class LabeledClusterSet:
+class LabeledClusterSet(_FrozenColumns):
     """The reference store of labeled clusters; entry order is fixed and load-bearing.
 
     Entry i is item i of ``labels``, ``member_ids``, ``best_silhouette_ids`` and
@@ -63,20 +63,15 @@ class LabeledClusterSet:
                 raise ValueError(
                     f"entry {index}: {key!r} component {component} is not finite ({mat[index, component]})"
                 )
-            mat.flags.writeable = False
-        values = {
-            "labels": tuple(labels),
-            "member_ids": tuple(tuple(ids) for ids in member_ids),
-            "best_silhouette_ids": tuple(best_silhouette_ids),
-            "histograms": tuple(dict(h) for h in histograms),
-            "centroids": centroids,
-            "best_silhouette_vectors": best_silhouette_vectors,
-        }
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LabeledClusterSet is immutable; cannot set {name!r}")
+        _freeze(
+            self,
+            labels=tuple(labels),
+            member_ids=tuple(tuple(ids) for ids in member_ids),
+            best_silhouette_ids=tuple(best_silhouette_ids),
+            histograms=tuple(dict(h) for h in histograms),
+            centroids=centroids,
+            best_silhouette_vectors=best_silhouette_vectors,
+        )
 
     @property
     def dimension(self) -> int:
@@ -84,20 +79,6 @@ class LabeledClusterSet:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabeledClusterSet):
-            return NotImplemented
-        return (
-            self.labels == other.labels
-            and self.member_ids == other.member_ids
-            and self.best_silhouette_ids == other.best_silhouette_ids
-            and self.histograms == other.histograms
-            and np.array_equal(self.centroids, other.centroids)
-            and np.array_equal(self.best_silhouette_vectors, other.best_silhouette_vectors)
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"LabeledClusterSet({len(self)} entries, dimension={self.dimension})"

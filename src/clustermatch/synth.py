@@ -44,6 +44,15 @@ class SynthConfig:
                 f"blob_stddev {self.blob_stddev:.3g} in {self.dimension} dimensions, Ward's merge costs over "
                 f"{n} points exceed its range"
             )
+        # the other end: centres must be separation x blob_stddev apart; when the square of
+        # that underflows to 0, the squared differences that test it round to 0 as well,
+        # and the rejection sampling of the centres fails
+        min_dist = self.separation * self.blob_stddev
+        if min_dist * min_dist == 0.0:
+            raise ValueError(
+                f"separation x blob_stddev = {min_dist:.3g} underflows float64: "
+                "its square, the squared distance between blob centres, rounds to 0"
+            )
         if not 0.0 <= self.fraction_nonregistered <= 1.0:
             raise ValueError("fraction_nonregistered must be in [0, 1]")
 
@@ -86,9 +95,7 @@ def _place_centers(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
         else:
             attempts += 1
             if attempts > _MAX_CENTER_ATTEMPTS * config.num_identities:
-                raise RuntimeError(
-                    "could not place blob centers; lower the separation or raise the dimension"
-                )
+                raise ValueError("could not place blob centers; lower the separation or raise the dimension")
     return np.asarray(centers)
 
 

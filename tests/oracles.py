@@ -231,6 +231,7 @@ def greedy_ward_merges(dist):
 def untiled_pairwise_distances(data):
     """``pairwise_distances`` with the transpose added in one whole-matrix pass."""
     mat = as_matrix(data)
+    mat = mat - np.round(mat.mean(axis=0))
     sq = np.sum(mat**2, axis=1)
     d = np.add.outer(sq, sq)
     buf = mat @ mat.T

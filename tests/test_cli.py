@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from clustermatch import clustering as clustering_module
+from clustermatch import synth as synth_module
 from clustermatch.cli import main
 from clustermatch.clustering import WardTree
 from clustermatch.clustering import KSearchConfig
-from clustermatch.cli import build_parser
+from clustermatch.cli import _ksearch, build_parser
 from clustermatch.formats import read_embeddings, read_face_labels, read_store, write_embeddings, write_store
 from clustermatch.geometry import Embedding, EmbeddingSet
 from clustermatch.matching import MatchConfig
@@ -74,14 +75,12 @@ class TestSynth:
 class TestDefaults:
     def test_parser_defaults_are_the_library_defaults(self):
         parse = build_parser().parse_args
-        ksearch, match = KSearchConfig(), MatchConfig()
+        match = MatchConfig()
         parsed = [parse([*argv, "--in", "f.emb", "--out", "out"]) for argv in (["cluster"], ["label"], ["match", "--store", "s.json"])]
         for args in parsed:
-            assert (args.patience, args.min_silhouette, args.max_clusters) == (
-                ksearch.patience,
-                ksearch.min_silhouette,
-                ksearch.max_clusters,
-            )
+            assert _ksearch(args) == KSearchConfig()
+        given = parse(["label", "--in", "f.emb", "--out", "out", "--patience", "2", "--min-silhouette", "0.5", "--max-clusters", "7"])
+        assert _ksearch(given) == KSearchConfig(patience=2, min_silhouette=0.5, max_clusters=7)
         assert (parsed[2].alpha, parsed[2].threshold) == (match.alpha, match.probability_threshold)
         assert parse(["timeline", "--labels", "l.tsv", "--out", "t.tsv"]).fps == DEFAULT_FPS
 
@@ -233,6 +232,18 @@ class TestErrorHandling:
     def test_cluster_requires_k_or_auto(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["cluster", "--in", tmp_path / "x.emb", "--out", tmp_path / "o"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--k", "5"], ["--k", "0"], ["--auto-k"], ["--patience", "1"], ["--min-silhouette", "0.9"], ["--max-clusters", "2"]],
+    )
+    def test_affinity_propagation_refuses_k_search_flags(self, tmp_path, capsys, flags):
+        out = tmp_path / "cl.json"
+        with pytest.raises(SystemExit) as exited:
+            run(["cluster", "--in", tmp_path / "x.emb", "--algo", "ap", *flags, "--out", out])
+        assert exited.value.code == 2
+        assert f"--algo ap finds its own number of clusters and takes no {flags[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_mode_arg_validation(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -396,6 +407,20 @@ class TestErrorHandling:
         out = tmp_path / "faces.emb"
         assert run(["synth", "--identities", "3", "--points", "4", "--dim", "2", "--separation", "1.2e153", "--out", out]) == 1
         self.assert_one_error_line(capsys, "overflows", "12 points")
+        assert not out.exists()
+
+    def test_synth_stddev_whose_square_underflows(self, tmp_path, capsys):
+        out = tmp_path / "faces.emb"
+        assert run(["synth", "--identities", "5", "--points", "2", "--dim", "3", "--stddev", "1e-300", "--out", out]) == 1
+        self.assert_one_error_line(capsys, "underflows")
+        assert not out.exists()
+
+    def test_synth_centres_that_cannot_be_placed(self, tmp_path, capsys, monkeypatch):
+        # 50 centres in a 1-d interval make rejections certain, and no retry budget is left
+        monkeypatch.setattr(synth_module, "_MAX_CENTER_ATTEMPTS", 0)
+        out = tmp_path / "faces.emb"
+        assert run(["synth", "--identities", "50", "--points", "1", "--dim", "1", "--separation", "1000", "--out", out]) == 1
+        self.assert_one_error_line(capsys, "could not place blob centers")
         assert not out.exists()
 
     def test_timeline_needs_frames(self, tmp_path, capsys):

@@ -80,11 +80,13 @@ class TestKMeans:
             data = generate_synthetic(SynthConfig(6, 30, 16, blob_stddev=0.3, seed=seed)).embeddings.vectors
             assert kmeans(data + offset, 6, seed=seed) == kmeans(data, 6, seed=seed)
 
-    @pytest.mark.parametrize("offset", [1e6, 1e7])
+    @pytest.mark.parametrize("offset", [1e6, 1e7, 1e8, 1e9])
     def test_shift_changes_neither_k_nor_assignments_of_the_k_search(self, offset):
+        # both K searches read pairwise_distances, which round with ||x||^2 unless centred
         for seed in range(10):
             data = generate_synthetic(SynthConfig(6, 30, 16, blob_stddev=0.3, seed=seed)).embeddings.vectors
-            assert estimate_clustering(data + offset, "kmeans", seed=seed) == estimate_clustering(data, "kmeans", seed=seed)
+            for algorithm in ("ward", "kmeans"):
+                assert estimate_clustering(data + offset, algorithm, seed=seed) == estimate_clustering(data, algorithm, seed=seed)
 
     def test_exactly_k_nonempty_clusters_even_with_duplicates(self):
         data = np.array([[0.0], [0.0], [0.0], [1.0], [9.0]])

@@ -413,6 +413,15 @@ class TestAtomicWrite:
         os.umask(umask)
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
+    def test_written_file_follows_the_umask_in_force(self, tmp_path):
+        out = tmp_path / "out.txt"
+        umask = os.umask(0o077)
+        try:
+            _atomic_write(out, "x")
+        finally:
+            os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o600
+
 
 class TestFaceLabelFile:
     def test_round_trip(self, tmp_path):

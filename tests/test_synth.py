@@ -86,7 +86,7 @@ class TestGenerate:
         # cram enough centers into a 1-d interval that rejections are certain,
         # then leave no retry budget to absorb them
         monkeypatch.setattr(synth_mod, "_MAX_CENTER_ATTEMPTS", 0)
-        with pytest.raises(RuntimeError, match="separation"):
+        with pytest.raises(ValueError, match="separation"):
             generate_synthetic(SynthConfig(50, 1, 1, blob_stddev=1.0, separation=1000.0, seed=0))
 
     def test_clustering_recovers_k(self):
