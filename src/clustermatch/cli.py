@@ -258,19 +258,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the subcommand's own parser, so that a usage error shows that subcommand's usage
+    (commands,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    usage_error = commands.choices[args.command].error
     if args.command == "evaluate":
         if args.mode == "vmeasure" and not (args.input and args.clustering):
-            parser.error("--mode vmeasure requires --in and --clustering")
+            usage_error("--mode vmeasure requires --in and --clustering")
         if args.mode == "video" and not (args.truth and args.pred):
-            parser.error("--mode video requires --truth and --pred")
+            usage_error("--mode video requires --truth and --pred")
     if args.command == "cluster" and args.algo == "ap":
         flags = {"--k": args.k, "--auto-k": args.auto_k or None, "--patience": args.patience,
                  "--min-silhouette": args.min_silhouette, "--max-clusters": args.max_clusters}
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
-            parser.error(f"--algo ap finds its own number of clusters and takes no {', '.join(given)}")
+            usage_error(f"--algo ap finds its own number of clusters and takes no {', '.join(given)}")
     elif args.command in ("cluster", "label") and not args.auto_k and args.k is None:
-        parser.error("either --k or --auto-k is required")
+        usage_error("either --k or --auto-k is required")
     try:
         return args.func(args)
     except (ValueError, OSError, formats.FormatError) as exc:

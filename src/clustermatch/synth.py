@@ -7,6 +7,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import clustering
 from .geometry import EmbeddingSet
 
 _MAX_CENTER_ATTEMPTS = 1000
@@ -25,6 +26,15 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.num_identities < 1 or self.points_per_identity < 1 or self.dimension < 1:
             raise ValueError("counts must be positive")
+        # the output's float64 values must fit in physical memory, checked before any work that
+        # scales with them; the counts can be any Python int, so no float is made of them here
+        n = self.num_identities * self.points_per_identity
+        available = clustering._physical_memory()
+        if n * self.dimension * 8 > available:
+            raise ValueError(
+                f"{self.num_identities} x {self.points_per_identity} points in {self.dimension} dimensions need "
+                f"more float64 values than fit in the {available / 2**30:.1f} GiB of physical memory"
+            )
         if not (0 < self.blob_stddev < math.inf and 0 < self.separation < math.inf):
             raise ValueError(
                 f"blob_stddev and separation must be positive and finite, got {self.blob_stddev} and {self.separation}"
@@ -36,7 +46,6 @@ class SynthConfig:
         # costs to a and b, at most a c M + b c M, and subtracts c times the merge cost, at most
         # c min(a, b) M: every term is at most c (a + b) M. As a + b + c <= n points,
         # c (a + b) <= n^2 / 4, so every term is finite when n^2 / 4 M = n^2 d reach^2 is.
-        n = self.num_identities * self.points_per_identity
         reach = self.cube_side + 10.0 * self.blob_stddev
         if not math.isfinite(n * n * self.dimension * reach * reach):
             raise ValueError(

@@ -245,6 +245,26 @@ class TestErrorHandling:
         assert f"--algo ap finds its own number of clusters and takes no {flags[0]}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--in", "x.emb", "--algo", "ap", "--k", "5", "--out", "o"],
+            ["cluster", "--in", "x.emb", "--out", "o"],
+            ["label", "--in", "x.emb", "--out", "o"],
+            ["cluster", "--in", "x.emb", "--k", "nan", "--out", "o"],
+            ["evaluate", "--mode", "vmeasure"],
+            ["evaluate", "--mode", "video"],
+        ],
+        ids=["ap-with-k", "cluster-without-k", "label-without-k", "k-nan", "vmeasure-without-files", "video-without-files"],
+    )
+    def test_usage_error_shows_the_subcommand_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            run(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: clustermatch {argv[0]} ")
+        assert f"\nclustermatch {argv[0]}: error: " in err
+
     def test_evaluate_mode_arg_validation(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["evaluate", "--mode", "vmeasure"])
@@ -407,6 +427,14 @@ class TestErrorHandling:
         out = tmp_path / "faces.emb"
         assert run(["synth", "--identities", "3", "--points", "4", "--dim", "2", "--separation", "1.2e153", "--out", out]) == 1
         self.assert_one_error_line(capsys, "overflows", "12 points")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("identities", ["1000000000", "1" + "0" * 400])
+    def test_synth_output_beyond_physical_memory(self, tmp_path, capsys, identities):
+        # refused before any centre is placed: placing 10^9 of them would run for hours
+        out = tmp_path / "faces.emb"
+        assert run(["synth", "--identities", identities, "--points", "1000000000", "--dim", "1", "--out", out]) == 1
+        self.assert_one_error_line(capsys, "points in 1 dimensions need more float64 values", "physical memory")
         assert not out.exists()
 
     def test_synth_stddev_whose_square_underflows(self, tmp_path, capsys):

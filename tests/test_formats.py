@@ -1,3 +1,5 @@
+import functools
+import gc
 import json
 import os
 
@@ -222,17 +224,73 @@ class TestStoreFile:
             read_store(path)
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("centroid", "oops"), ("centroid", [1.0, "x"]), ("member_ids", [1]), ("label_histogram", [])],
+        "key, value, reason",
+        [
+            pytest.param("centroid", "oops", "expected a list, got str", id="centroid-oops"),
+            pytest.param("centroid", [1.0, "x"], "component 1 is str, expected a number", id="centroid-value1"),
+            pytest.param("member_ids", [1], "expected a string, got int", id="member_ids-value2"),
+            pytest.param("label_histogram", [], "expected an object, got list", id="label_histogram-value3"),
+        ]
+        + [
+            pytest.param(key, value, reason, id=f"{key}-{name}")
+            for key in ("centroid", "best_silhouette_vector")
+            for name, value, reason in [
+                ("true-among-numbers", [True, 1.5], "component 0 is bool, expected a number"),
+                ("false-among-numbers", [False, 2.0], "component 0 is bool, expected a number"),
+                ("all-bool", [True, False], "component 0 is bool, expected a number"),
+                ("null", [None, 1.5], "component 0 is NoneType, expected a number"),
+                ("string", ["1.5", 2.0], "component 0 is str, expected a number"),
+                ("list", [[1.0], 2.0], "component 0 is list, expected a number"),
+                ("nested-100-deep", [functools.reduce(lambda inner, _: [inner], range(100), 1.0), 2.0],
+                 "component 0 is list, expected a number"),
+            ]
+        ],
     )
-    def test_bad_entry_value_names_file_entry_and_key(self, tmp_path, store, key, value):
+    def test_bad_entry_value_names_file_entry_and_key(self, tmp_path, store, key, value, reason):
         path = tmp_path / "s.json"
         write_store(store, path)
         doc = json.loads(path.read_text())
         doc["entries"][0][key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match=f"s.json: entry 0: bad value for '{key}'"):
+        with pytest.raises(FormatError) as raised:
             read_store(path)
+        assert str(raised.value) == f"{path}: entry 0: bad value for '{key}' ({reason})"
+
+    @pytest.mark.parametrize("key", ["centroid", "best_silhouette_vector"])
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, -2]", "[-0, 1.5]", "[9007199254740993, 1.5]", "[9223372036854775808, -1]",
+         "[18446744073709551615, 1.5]", "[18446744073709551615, 7]", "[0.0, -0.0]", "[1.0, -0.0]", "[1, 0]"],
+    )
+    def test_json_numbers_read_as_float64(self, tmp_path, store, key, text):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        rows = [json.loads(text), doc["entries"][1][key]]
+        doc["entries"][0][key] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+        back, _ = read_store(path)
+        matrix = back.centroids if key == "centroid" else back.best_silhouette_vectors
+        assert matrix.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("good", [True, False])
+    def test_collector_state_is_restored(self, tmp_path, store, enabled, good):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        if not good:
+            path.write_text(path.read_text().replace('"centroid": [', '"centroid": [true, '))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            if good:
+                read_store(path)
+            else:
+                with pytest.raises(FormatError):
+                    read_store(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_inconsistent_entry_names_it(self, tmp_path, store):
         path = tmp_path / "s.json"

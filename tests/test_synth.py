@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clustermatch import clustering as clustering_module
 from clustermatch.clustering import estimate_clustering
 from clustermatch.formats import write_embeddings
 from clustermatch.geometry import Embedding, EmbeddingSet, as_matrix
@@ -37,6 +38,14 @@ class TestSynthConfig:
         SynthConfig(3, 1, 2, separation=1e152)
         with pytest.raises(ValueError, match="300 points"):
             SynthConfig(3, 100, 2, separation=1e152)
+
+    def test_output_must_fit_in_physical_memory(self, monkeypatch):
+        # 3 x 4 points in 5 dimensions are 60 float64 values, 480 bytes
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 480)
+        SynthConfig(3, 4, 5)
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 479)
+        with pytest.raises(ValueError, match="3 x 4 points in 5 dimensions need more float64 values"):
+            SynthConfig(3, 4, 5)
 
 
 class TestGenerate:
