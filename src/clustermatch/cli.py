@@ -54,8 +54,7 @@ def cmd_cluster(args) -> int:
     k = None if args.auto_k else args.k
     algo = {"kmeans": "kmeans", "ward": "ward", "ap": "affinity_propagation"}[args.algo]
     clustering = run_clustering(embeddings, algorithm=algo, k=k, ksearch=_ksearch(args), seed=args.seed)
-    score = clustering.silhouette.score if clustering.silhouette is not None else None
-    formats.write_clustering(clustering, embeddings, score, args.out)
+    formats.write_clustering(clustering, embeddings, args.out)
     print(f"clustered {len(embeddings)} embeddings into {clustering.num_clusters} clusters")
     return 0
 
@@ -63,7 +62,9 @@ def cmd_cluster(args) -> int:
 def cmd_label(args) -> int:
     embeddings = formats.read_embeddings(args.input)
     if args.exclude_labels_file:
-        excluded = set(Path(args.exclude_labels_file).read_text(encoding="utf-8").split())
+        # one label per line, as synth --nonregistered-out writes them: a label may hold spaces
+        lines = Path(args.exclude_labels_file).read_text(encoding="utf-8").splitlines()
+        excluded = {line for line in lines if line.strip()}
         embeddings = embeddings.select([label not in excluded for label in embeddings.true_labels])
     k = None if args.auto_k else args.k
     ksearch = _ksearch(args)
@@ -218,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto-k", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     _add_ksearch_flags(p)
-    p.add_argument("--exclude-labels-file", help="identities to withhold from the store")
+    p.add_argument(
+        "--exclude-labels-file", help="identities to withhold from the store, one label per line (blank lines skipped)"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_label)
 

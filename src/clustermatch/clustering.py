@@ -473,16 +473,6 @@ def _compact(buffer: np.ndarray, B: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def agglomerative_ward(data, k: int, dist: np.ndarray | None = None) -> Clustering:
-    """Agglomerative clustering with the Ward minimum-variance criterion, cut at k clusters.
-    ``dist`` is the data's ``pairwise_distances``, computed here when not given."""
-    mat = as_matrix(data)
-    n = mat.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range [1, {n}]")
-    return ward_tree(mat, dist=dist).cut(k)
-
-
 # ---------------------------------------------------------------------------
 # silhouette
 

@@ -19,9 +19,7 @@ from .matching import MatchDecision
 class ContingencyTable:
     """Counts of points per (class, cluster) pair."""
 
-    counts: tuple[tuple[int, ...], ...]  # rows: classes, cols: clusters
-    classes: tuple[str, ...]
-    clusters: tuple[int, ...]
+    counts: tuple[tuple[int, ...], ...]  # rows: classes, cols: clusters, both in sorted order
 
     def __post_init__(self) -> None:
         if not self.counts or not self.counts[0]:
@@ -42,10 +40,6 @@ class VMeasureReport:
     completeness: float
     v: float
     beta: float
-    h_c_given_k: float
-    h_c: float
-    h_k_given_c: float
-    h_k: float
 
 
 @dataclass(frozen=True)
@@ -56,7 +50,6 @@ class MatchMetrics:
     m2: float | None
     m3: float | None
     m4: float | None
-    n_registered: int
     n_nonregistered: int
 
 
@@ -79,18 +72,12 @@ def contingency(true_labels, assignments) -> ContingencyTable:
         )
     if not true_labels:
         raise ValueError("empty input")
-    classes = sorted(set(true_labels))
-    clusters = sorted(set(int(a) for a in assignments))
-    cindex = {c: i for i, c in enumerate(classes)}
-    kindex = {k: j for j, k in enumerate(clusters)}
-    counts = [[0] * len(clusters) for _ in classes]
+    cindex = {c: i for i, c in enumerate(sorted(set(true_labels)))}
+    kindex = {k: j for j, k in enumerate(sorted(set(int(a) for a in assignments)))}
+    counts = [[0] * len(kindex) for _ in cindex]
     for lab, a in zip(true_labels, assignments):
         counts[cindex[lab]][kindex[int(a)]] += 1
-    return ContingencyTable(
-        counts=tuple(tuple(r) for r in counts),
-        classes=tuple(classes),
-        clusters=tuple(clusters),
-    )
+    return ContingencyTable(counts=tuple(tuple(r) for r in counts))
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -128,36 +115,28 @@ def v_measure(table: ContingencyTable, beta: float = 1.0) -> VMeasureReport:
         marg = np.broadcast_to(totals, a.shape)[mask]
         return float(-np.sum((cells / n) * np.log(cells / marg)))
 
-    h_c_given_k = cond_entropy(cluster_totals[None, :])
-    h_k_given_c = cond_entropy(class_totals[:, None])
+    # H(C|K) and H(K|C)
+    h_ck = cond_entropy(cluster_totals[None, :])
+    h_kc = cond_entropy(class_totals[:, None])
 
-    if h_c_given_k <= 0:
+    if h_ck <= 0:
         h = 1.0
     elif h_c == 0:
         h = 1.0
     else:
-        h = 1.0 - h_c_given_k / h_c
-    if h_k_given_c <= 0:
+        h = 1.0 - h_ck / h_c
+    if h_kc <= 0:
         c = 1.0
     elif h_k == 0:
         c = 1.0
     else:
-        c = 1.0 - h_k_given_c / h_k
+        c = 1.0 - h_kc / h_k
 
     if h + c == 0:
         v = 0.0
     else:
         v = (1.0 + beta) * h * c / (beta * h + c)
-    return VMeasureReport(
-        homogeneity=h,
-        completeness=c,
-        v=v,
-        beta=beta,
-        h_c_given_k=h_c_given_k,
-        h_c=h_c,
-        h_k_given_c=h_k_given_c,
-        h_k=h_k,
-    )
+    return VMeasureReport(homogeneity=h, completeness=c, v=v, beta=beta)
 
 
 def match_metrics(registered_results, nonregistered_decisions) -> MatchMetrics:
@@ -201,7 +180,6 @@ def match_metrics(registered_results, nonregistered_decisions) -> MatchMetrics:
         m2=m2,
         m3=m3,
         m4=m4,
-        n_registered=len(registered_results),
         n_nonregistered=len(nonregistered_decisions),
     )
 

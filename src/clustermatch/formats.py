@@ -337,10 +337,6 @@ def _all_string_lists(values) -> bool:
     return all(type(v) is list for v in values) and _all_strings(chain.from_iterable(values))
 
 
-def _all_number_lists(values) -> bool:
-    return all(type(v) is list for v in values) and set(map(type, chain.from_iterable(values))) <= _NUMBER_TYPES
-
-
 def _matrix(path: str | Path, entries: list[dict], key: str, dimension: int) -> np.ndarray:
     """The (S, dimension) float64 matrix of every entry's ``key`` vector, with no Python step per component.
 
@@ -359,7 +355,7 @@ def _matrix(path: str | Path, entries: list[dict], key: str, dimension: int) -> 
         if not any(type(rows[i][j]) is bool for i, j in zip(*zeros_and_ones)):
             return inferred.astype(np.float64, copy=False)
     # anything else is checked entry by entry, and the first bad entry named
-    rows = _column(path, entries, key, _all_number_lists, _numbers)
+    rows = [_field(path, f"entry {index}", e, key, _numbers) for index, e in enumerate(entries)]
     for index, row in enumerate(rows):
         if len(row) != dimension:
             raise FormatError(
@@ -429,19 +425,15 @@ def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
 # clustering files
 
 
-def write_clustering(
-    clustering: Clustering,
-    embeddings: Sequence[Embedding],
-    score: float | None,
-    path: str | Path,
-) -> None:
-    """Persist a clustering as versioned JSON: one [embedding id, cluster index] pair per point."""
+def write_clustering(clustering: Clustering, embeddings: Sequence[Embedding], path: str | Path) -> None:
+    """Persist a clustering as versioned JSON: one [embedding id, cluster index] pair per point,
+    and the silhouette score the clustering carries (null when it carries none)."""
     doc = {
         "format": "clustermatch-clustering",
         "version": CLUSTERING_VERSION,
         "num_clusters": clustering.num_clusters,
         "converged": clustering.converged,
-        "silhouette_score": score,
+        "silhouette_score": None if clustering.silhouette is None else clustering.silhouette.score,
         "assignments": [[eid, int(c)] for eid, c in zip(EmbeddingSet.of(embeddings).ids, clustering.assignments)],
     }
     _atomic_write(path, json.dumps(doc, indent=1) + "\n")

@@ -48,6 +48,9 @@ class LabeledClusterSet(_FrozenColumns):
         for index, label in enumerate(labels):
             if not label:
                 raise ValueError(f"entry {index}: cluster label must be non-empty")
+            # a label is one field of a labels.tsv line, which read_face_labels splits with str.splitlines
+            if "\t" in label or label.splitlines() != [label]:
+                raise ValueError(f"entry {index}: cluster label {label!r} holds a tab or a line break")
         all_ids = list(chain.from_iterable(member_ids))
         if len(set(all_ids)) != len(all_ids):
             owner: dict[str, int] = {}

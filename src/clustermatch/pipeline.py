@@ -11,11 +11,11 @@ from .clustering import (
     Clustering,
     KSearchConfig,
     affinity_propagation,
-    agglomerative_ward,
     checked_distances,
     estimate_clustering,
     kmeans,
     silhouette,
+    ward_tree,
 )
 from .geometry import EmbeddingSet, as_matrix
 from .matching import (
@@ -50,14 +50,14 @@ def run_clustering(
         clustering = affinity_propagation(mat)
     elif k is None:
         return estimate_clustering(mat, algorithm=algorithm, config=ksearch, seed=seed)
-    elif algorithm == "ward":
-        dist = checked_distances(mat, algorithm)
-        clustering = agglomerative_ward(mat, k, dist=dist)
-    elif algorithm == "kmeans":
-        dist = checked_distances(mat, algorithm)
-        clustering = kmeans(mat, k, seed=seed)
-    else:
+    elif algorithm not in ("ward", "kmeans"):
         raise ValueError(f"unknown clustering algorithm {algorithm!r}")
+    else:
+        n = mat.shape[0]
+        if not 1 <= k <= n:  # before the n x n matrix is built
+            raise ValueError(f"k={k} out of range [1, {n}]")
+        dist = checked_distances(mat, algorithm)
+        clustering = ward_tree(mat, dist=dist).cut(k) if algorithm == "ward" else kmeans(mat, k, seed=seed)
     if clustering.num_clusters < 2:
         return clustering
     return replace(clustering, silhouette=silhouette(mat, clustering, dist=dist))
@@ -69,39 +69,27 @@ def build_labeled_store(
     k: int | None = None,
     ksearch: KSearchConfig = KSearchConfig(),
     seed: int = 0,
-    cluster_labels: list[str] | None = None,
 ) -> LabeledClusterSet:
-    """Cluster the embeddings and label every cluster.
-
-    Labels come from the embeddings' true_label fields by majority vote, or
-    from ``cluster_labels`` (one label per cluster index) when supplied.
-    Both cluster-embedding variants are precomputed for each entry.
+    """Cluster the embeddings and label every cluster by majority vote of its
+    members' true_label fields. Both cluster-embedding variants are precomputed
+    for each entry.
     """
     faces = EmbeddingSet.of(embeddings)
     mat = as_matrix(faces)
     clustering = run_clustering(mat, algorithm=algorithm, k=k, ksearch=ksearch, seed=seed)
-    if cluster_labels is not None and len(cluster_labels) != clustering.num_clusters:
-        raise ValueError(f"got {len(cluster_labels)} labels for {clustering.num_clusters} clusters")
     groups = clustering.member_groups()
     reps = _representatives(mat, clustering)
 
     labels, member_ids, histograms = [], [], []
-    for c, members in enumerate(groups):
+    for members in groups:
         members = members.tolist()
-        if cluster_labels is not None:
-            label = cluster_labels[c]
-            histogram = {label: len(members)}
-        else:
-            member_labels = [faces.true_labels[i] for i in members]
-            if any(lab is None for lab in member_labels):
-                raise ValueError(
-                    "embeddings lack true labels; pass cluster_labels to label the clusters"
-                )
-            label, _ = majority_label(member_labels)
-            histogram = dict(Counter(member_labels))
+        member_labels = [faces.true_labels[i] for i in members]
+        if any(lab is None for lab in member_labels):
+            raise ValueError("embeddings lack true labels")
+        label, _ = majority_label(member_labels)
         labels.append(label)
         member_ids.append(tuple(faces.ids[i] for i in members))
-        histograms.append(histogram)
+        histograms.append(dict(Counter(member_labels)))
     return LabeledClusterSet(
         labels=labels,
         member_ids=member_ids,

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -154,12 +153,9 @@ def sample_more(
     points_per_identity: int,
     seed: int,
     video_id: str = "query",
-    include_nonregistered: bool = True,
 ) -> EmbeddingSet:
     """Draw a fresh batch of points around the same centers (e.g. a query video)."""
     if points_per_identity < 1:
         raise ValueError("points_per_identity must be positive")
-    keep = [include_nonregistered or label not in dataset.nonregistered_labels for label in dataset.labels]
-    centers, labels = np.asarray(dataset.centers)[keep], list(compress(dataset.labels, keep))
-    rng = np.random.default_rng(seed)
-    return _sample_blobs(centers, labels, points_per_identity, dataset.config.blob_stddev, rng, video_id, f"{video_id}-")
+    centers, rng = np.asarray(dataset.centers), np.random.default_rng(seed)
+    return _sample_blobs(centers, dataset.labels, points_per_identity, dataset.config.blob_stddev, rng, video_id, f"{video_id}-")

@@ -214,6 +214,32 @@ class TestFullPipeline:
         records = json.loads(as_json.read_text())
         assert all(r["last_frame"] == 9 for r in records)
 
+    def test_store_label_with_a_space_and_a_non_ascii_letter(self, world, tmp_path):
+        emb, _, store = world
+        doc = json.loads(store.read_text())
+        renamed, doc["entries"][0]["label"] = doc["entries"][0]["label"], "Zoë Smith"
+        store.write_text(json.dumps(doc))
+        labels = tmp_path / "labels.tsv"
+        assert run(["match", "--in", emb, "--store", store, "--out", labels]) == 0
+        truth = {e.id: e.true_label for e in read_embeddings(emb)}
+        named = [face_id for face_id, _, label in read_face_labels(labels) if label == "Zoë Smith"]
+        assert named and {truth[face_id] for face_id in named} == {renamed}
+        assert run(["timeline", "--labels", labels, "--out", tmp_path / "segments.tsv"]) == 0
+
+    def test_excluded_label_may_hold_a_space(self, world, tmp_path):
+        emb, _, _ = world
+        spaced = {"id-000": "John Smith", "id-001": "Smith"}
+        faces = tmp_path / "spaced.emb"
+        write_embeddings(
+            [dataclasses.replace(e, true_label=spaced.get(e.true_label, e.true_label)) for e in read_embeddings(emb)], faces
+        )
+        withheld = tmp_path / "spaced-withheld.txt"
+        withheld.write_text("John Smith\n\n")
+        store = tmp_path / "spaced-store.json"
+        assert run(["label", "--in", faces, "--auto-k", "--exclude-labels-file", withheld, "--out", store]) == 0
+        labels = read_store(store)[0].labels
+        assert "John Smith" not in labels and "Smith" in labels
+
     def test_same_seed_runs_are_byte_identical(self, world, tmp_path):
         emb, _, store = world
         a = tmp_path / "a.tsv"
@@ -378,6 +404,30 @@ class TestErrorHandling:
         assert run(["cluster", "--in", emb, "--k", "1", "--out", out]) == 1
         self.assert_one_error_line(capsys, f"bad.emb{line}", detail)
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\u2028b"], ids=["tab", "newline", "line-separator"])
+    def test_store_label_that_labels_tsv_cannot_hold(self, emb, tmp_path, capsys, bad):
+        store = tmp_path / "store.json"
+        assert run(["label", "--in", emb, "--auto-k", "--out", store]) == 0
+        doc = json.loads(store.read_text())
+        doc["entries"][1]["label"] = bad
+        store.write_text(json.dumps(doc))
+        capsys.readouterr()
+        labels = tmp_path / "l.tsv"
+        assert run(["match", "--in", emb, "--store", store, "--out", labels]) == 1
+        self.assert_one_error_line(capsys, "store.json", "entry 1", repr(bad))
+        assert not labels.exists()
+
+    @pytest.mark.parametrize("algo", ["ward", "kmeans"])
+    @pytest.mark.parametrize("k", [0, 51])
+    def test_k_out_of_range_before_the_distance_matrix(self, emb, tmp_path, capsys, monkeypatch, algo, k):
+        def refuse(data):
+            raise AssertionError("the distance matrix was built")
+
+        monkeypatch.setattr(clustering_module, "pairwise_distances", refuse)
+        capsys.readouterr()
+        assert run(["cluster", "--in", emb, "--algo", algo, "--k", k, "--out", tmp_path / "cl.json"]) == 1
+        self.assert_one_error_line(capsys, f"error: k={k} out of range [1, 50]")
 
     def test_store_top_level_list(self, emb, tmp_path, capsys):
         store = tmp_path / "store.json"
@@ -562,3 +612,63 @@ class TestOneDistanceMatrixPerRun:
         assert run([a.format(**paths) for a in argv]) == 0
         assert len(pairwise) == len(cuts) == 1
         assert len(scored) == (1 if fixed_k else 0)
+
+
+# every numeric flag is set, one at a time, to each of these; no value lies between a
+# small baseline and an edge, so no case starts a job whose size scales with an argument
+EDGES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", str(2**63)]
+KSEARCH_FLAGS = ["--patience", "--min-silhouette", "--max-clusters"]
+EDGE_WORLD = ["synth", "--identities", "4", "--points", "5", "--dim", "4", "--stddev", "0.25"]  # 20 faces
+
+
+def _edge_cases():
+    """(name, subcommand argv, flag) triples: the flag's value is replaced in argv, or appended to it."""
+    for flag in ["--identities", "--points", "--dim", "--stddev", "--separation", "--seed", "--fraction-nonregistered"]:
+        yield "synth", EDGE_WORLD + ["--out", "{out}"], flag
+    for command in ("cluster", "label"):
+        for algo in ("ward", "kmeans"):
+            base = [command, "--in", "{emb}", "--algo", algo, "--out", "{out}"]
+            yield f"{command} {algo}", base + ["--k", "2"], "--k"
+            for flag in ["--seed", *KSEARCH_FLAGS]:
+                yield f"{command} {algo}", base + ["--auto-k"], flag
+    for flag in ["--alpha", "--threshold", "--seed", *KSEARCH_FLAGS]:
+        yield "match", ["match", "--in", "{emb}", "--store", "{store}", "--out", "{out}"], flag
+    evaluate = ["evaluate", "--mode", "vmeasure", "--in", "{emb}", "--clustering", "{clustering}", "--out", "{out}"]
+    yield "evaluate", evaluate, "--beta"
+    yield "timeline", ["timeline", "--labels", "{labels}", "--out", "{out}"], "--fps"
+
+
+class TestNumericArgumentEdges:
+    """No numeric argument at an edge ends in a traceback: each run exits 0, 1 with one
+    ``error:`` line, or 2 when argparse's type rejects the value."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("edges")
+        files = {name: root / name for name in ("emb", "store", "clustering", "labels")}
+        assert run(EDGE_WORLD + ["--out", files["emb"]]) == 0
+        assert run(["label", "--in", files["emb"], "--auto-k", "--out", files["store"]]) == 0
+        assert run(["cluster", "--in", files["emb"], "--auto-k", "--out", files["clustering"]]) == 0
+        assert run(["match", "--in", files["emb"], "--store", files["store"], "--out", files["labels"]]) == 0
+        return files
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [pytest.param(argv, flag, value, id=f"{name} {flag} {value}") for name, argv, flag in _edge_cases() for value in EDGES],
+    )
+    def test_exit_code_and_message(self, files, tmp_path, capsys, argv, flag, value):
+        argv = [a.format(out=tmp_path / "out", **files) for a in argv]
+        argv = [*argv[: argv.index(flag) + 1], value, *argv[argv.index(flag) + 2 :]] if flag in argv else [*argv, flag, value]
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), err
+        if code == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        elif code == 2:
+            assert f"clustermatch {argv[0]}: error: " in err
+        else:
+            assert not err

@@ -8,7 +8,6 @@ from clustermatch.clustering import (
     Clustering,
     KSearchConfig,
     affinity_propagation,
-    agglomerative_ward,
     estimate_clustering,
     kmeans,
     silhouette,
@@ -133,19 +132,19 @@ class TestAffinityPropagation:
 class TestWard:
     def test_well_separated_pairs_1d(self):
         data = np.array([[0.0], [1.0], [10.0], [11.0]])
-        cl = agglomerative_ward(data, 2)
+        cl = ward_tree(data).cut(2)
         assert partition_sets(cl) == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_k_equals_n_is_singletons(self):
         data = np.array([[0.0], [2.0], [4.0]])
-        cl = agglomerative_ward(data, 3)
+        cl = ward_tree(data).cut(3)
         assert all(len(members) == 1 for members in cl.member_groups())
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            agglomerative_ward(np.zeros((3, 1)), 0)
+            ward_tree(np.zeros((3, 1))).cut(0)
         with pytest.raises(ValueError):
-            agglomerative_ward(np.zeros((3, 1)), 4)
+            ward_tree(np.zeros((3, 1))).cut(4)
 
     def test_every_merge_is_minimum_variance_increase(self):
         rng = np.random.default_rng(11)
@@ -185,7 +184,7 @@ class TestWard:
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         data = rng.normal(size=(20, 2))
-        assert agglomerative_ward(data, 4).assignments == agglomerative_ward(data, 4).assignments
+        assert ward_tree(data).cut(4).assignments == ward_tree(data).cut(4).assignments
 
     def test_given_distances_give_the_same_tree(self):
         rng = np.random.default_rng(14)
@@ -411,7 +410,7 @@ class TestKSearchConfig:
 def test_silhouette_score_matches_recomputation_from_distances():
     rng = np.random.default_rng(41)
     data = rng.normal(size=(25, 3))
-    cl = agglomerative_ward(data, 4)
+    cl = ward_tree(data).cut(4)
     dist = pairwise_distances(data)
     direct = silhouette(data, cl)
     via_dist = silhouette(data, cl, dist=dist)

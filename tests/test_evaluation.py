@@ -112,17 +112,6 @@ class TestVMeasure:
         assert rt.homogeneity == pytest.approx(r.completeness, abs=1e-12)
         assert rt.completeness == pytest.approx(r.homogeneity, abs=1e-12)
 
-    def test_base_invariance(self):
-        # h and c are entropy ratios: rescaling all entropies by log(base) cancels
-        t = contingency(["A", "A", "B", "C", "C", "C"], [0, 1, 1, 2, 2, 0])
-        r = v_measure(t)
-        for base in (2.0, 10.0):
-            scale = 1.0 / np.log(base)
-            h = 1 - (r.h_c_given_k * scale) / (r.h_c * scale)
-            c = 1 - (r.h_k_given_c * scale) / (r.h_k * scale)
-            assert h == pytest.approx(r.homogeneity, abs=1e-12)
-            assert c == pytest.approx(r.completeness, abs=1e-12)
-
     def test_beta_limits(self):
         t = contingency(["A", "A", "B", "B"], [0, 0, 0, 1])
         r = v_measure(t)
@@ -139,11 +128,11 @@ class TestVMeasure:
 class TestContingencyTable:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            ContingencyTable(counts=((1, -1),), classes=("A",), clusters=(0, 1))
+            ContingencyTable(counts=((1, -1),))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            ContingencyTable(counts=(), classes=(), clusters=())
+            ContingencyTable(counts=())
 
 
 class TestMatchMetrics:

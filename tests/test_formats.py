@@ -384,7 +384,7 @@ class TestNestingDepth:
 class TestClusteringFile:
     def test_round_trip(self, tmp_path, sample_embeddings):
         path = tmp_path / "c.json"
-        write_clustering(Clustering(assignments=(0, 1, 0), num_clusters=2), sample_embeddings, 0.5, path)
+        write_clustering(Clustering(assignments=(0, 1, 0), num_clusters=2), sample_embeddings, path)
         assert read_clustering(path) == ({"a": 0, "b": 1, "c": 0}, 2)
 
     def test_missing_assignments(self, tmp_path):

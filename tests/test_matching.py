@@ -283,6 +283,14 @@ class TestLabeledClusterSet:
                 best_silhouette_vectors=[[0.0], [1.0]],
             )
 
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb", "a\u2028b", "a\x1cb", "ab\n"])
+    def test_label_that_a_labels_tsv_line_cannot_hold(self, label):
+        with pytest.raises(ValueError, match="entry 1: cluster label .* holds a tab or a line break"):
+            store_of([[0.0], [1.0]], labels=["ok", label])
+
+    def test_label_with_a_space_and_a_non_ascii_letter(self):
+        assert store_of([[0.0]], labels=["Zo\u00eb Smith"]).labels == ("Zo\u00eb Smith",)
+
     def test_matrices_follow_entries_and_stay_out_of_eq_and_repr(self):
         rows, best = np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([[0.5, 1.5], [2.5, 3.5]])
         store = store_of(rows, best_silhouette_vectors=best)

@@ -63,15 +63,6 @@ class TestBuildLabeledStore:
         store = build_labeled_store(embs, algorithm="ward", k=None)
         assert len(store) == 1
 
-    def test_explicit_cluster_labels(self):
-        embs = [
-            Embedding(id="1", vector=(0.0,)),
-            Embedding(id="2", vector=(0.1,)),
-            Embedding(id="3", vector=(10.0,)),
-        ]
-        store = build_labeled_store(embs, algorithm="ward", k=2, cluster_labels=["near", "far"])
-        assert sorted(store.labels) == ["far", "near"]
-
     def test_unlabeled_without_cluster_labels_errors(self):
         embs = [Embedding(id="1", vector=(0.0,)), Embedding(id="2", vector=(1.0,))]
         with pytest.raises(ValueError, match="true labels"):
@@ -85,7 +76,7 @@ class TestBuildLabeledStore:
 class TestRecognize:
     def test_registered_video_all_labeled(self, small_world):
         ds, store = small_world
-        video = sample_more(ds, 8, seed=12, include_nonregistered=False, video_id="v")
+        video = [e for e in sample_more(ds, 8, seed=12, video_id="v") if e.true_label in ds.registered_labels]
         res = recognize(video, store)
         assert res.clustering.num_clusters == len(ds.registered_labels)
         by_id = {fid: lab for fid, _, lab in res.face_labels}
@@ -141,7 +132,7 @@ class TestRecognize:
 
     def test_silhouette_embedding_method(self, small_world):
         ds, store = small_world
-        video = sample_more(ds, 8, seed=17, include_nonregistered=False, video_id="v")
+        video = [e for e in sample_more(ds, 8, seed=17, video_id="v") if e.true_label in ds.registered_labels]
         res = recognize(video, store, match_config=MatchConfig(cluster_embedding_method=BEST_SILHOUETTE))
         by_id = {fid: lab for fid, _, lab in res.face_labels}
         correct = sum(1 for e in video if by_id[e.id] == e.true_label)

@@ -126,14 +126,3 @@ class TestSampleMore:
         # new draw differs from the originals
         assert {e.vector for e in extra}.isdisjoint({e.vector for e in ds.embeddings})
 
-    def test_exclude_nonregistered(self):
-        ds = generate_synthetic(SynthConfig(4, 2, 8, seed=9, fraction_nonregistered=0.25))
-        extra = sample_more(ds, 3, seed=10, include_nonregistered=False)
-        assert {e.true_label for e in extra} == set(ds.registered_labels)
-
-    def test_same_draw_with_or_without_the_withheld(self):
-        # identities are drawn in order, so dropping the last (withheld) one leaves the others' points as they were
-        ds = generate_synthetic(SynthConfig(4, 2, 8, seed=9, fraction_nonregistered=0.25))
-        every = sample_more(ds, 3, seed=10)
-        registered = sample_more(ds, 3, seed=10, include_nonregistered=False)
-        assert registered == every.select(slice(0, 9))
