@@ -4,7 +4,6 @@ from .clustering import (
     Clustering,
     KSearchConfig,
     SilhouetteReport,
-    affinity_propagation,
     estimate_clustering,
     kmeans,
     silhouette,
@@ -62,7 +61,6 @@ __all__ = [
     "TimelineSegment",
     "VideoScore",
     "VMeasureReport",
-    "affinity_propagation",
     "best_silhouette_members",
     "build_labeled_store",
     "contingency",

@@ -52,8 +52,7 @@ def cmd_synth(args) -> int:
 def cmd_cluster(args) -> int:
     embeddings = formats.read_embeddings(args.input)
     k = None if args.auto_k else args.k
-    algo = {"kmeans": "kmeans", "ward": "ward", "ap": "affinity_propagation"}[args.algo]
-    clustering = run_clustering(embeddings, algorithm=algo, k=k, ksearch=_ksearch(args), seed=args.seed)
+    clustering = run_clustering(embeddings, algorithm=args.algo, k=k, ksearch=_ksearch(args), seed=args.seed)
     formats.write_clustering(clustering, embeddings, args.out)
     print(f"clustered {len(embeddings)} embeddings into {clustering.num_clusters} clusters")
     return 0
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster an embedding file")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--algo", choices=["kmeans", "ward", "ap"], default="ward")
+    p.add_argument("--algo", choices=["kmeans", "ward"], default="ward")
     p.add_argument("--k", type=int)
     p.add_argument("--auto-k", action="store_true", help="pick k by silhouette score")
     p.add_argument("--seed", type=int, default=0)
@@ -269,15 +268,11 @@ def main(argv=None) -> int:
             usage_error("--mode vmeasure requires --in and --clustering")
         if args.mode == "video" and not (args.truth and args.pred):
             usage_error("--mode video requires --truth and --pred")
-    if args.command == "cluster" and args.algo == "ap":
-        flags = {"--k": args.k, "--auto-k": args.auto_k or None, "--patience": args.patience,
-                 "--min-silhouette": args.min_silhouette, "--max-clusters": args.max_clusters}
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given:
-            usage_error(f"--algo ap finds its own number of clusters and takes no {', '.join(given)}")
-    elif args.command in ("cluster", "label") and not args.auto_k and args.k is None:
+    if args.command in ("cluster", "label") and not args.auto_k and args.k is None:
         usage_error("either --k or --auto-k is required")
     try:
+        if getattr(args, "seed", 0) < 0:  # before any file is read
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

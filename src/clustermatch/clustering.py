@@ -1,7 +1,7 @@
 """Clustering algorithms, silhouette scoring, and the unknown-K search strategy.
 
-Three candidate algorithms are provided: k-means, affinity propagation, and
-agglomerative clustering with the Ward criterion. When the number of clusters
+Two candidate algorithms are provided: k-means and agglomerative clustering
+with the Ward criterion. When the number of clusters
 is unknown, ``estimate_clustering`` sweeps k upward, keeping the configuration
 with the best silhouette score, and falls back to a single cluster when even
 the best score indicates overlap.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import _freeze, as_matrix, mirror_upper, pairwise_distances, squared_norms
+from .geometry import _freeze, as_matrix, mirror_upper, pairwise_distances
 
 DEFAULT_PATIENCE = 5
 DEFAULT_MIN_SILHOUETTE = 0.2
@@ -26,8 +26,6 @@ class Clustering:
 
     assignments: tuple[int, ...]
     num_clusters: int
-    converged: bool = True
-    exemplars: tuple[int, ...] | None = None  # per-cluster exemplar point, when the algorithm has one
     # the silhouette of this clustering, set by the K search and pipeline.run_clustering when K >= 2
     silhouette: SilhouetteReport | None = field(default=None, compare=False, repr=False)
 
@@ -169,94 +167,6 @@ def kmeans(data, k: int, seed: int = 0) -> Clustering:
     labels, m = _relabel(assign)
     assert m == k
     return Clustering(assignments=labels, num_clusters=k)
-
-
-# ---------------------------------------------------------------------------
-# affinity propagation
-
-
-_AP_DAMPING = 0.5
-_AP_MAX_ITER = 200
-_AP_CONVERGENCE_ITER = 15
-
-
-def affinity_propagation(data) -> Clustering:
-    """Responsibility/availability message passing over negative squared distances,
-    damped by 0.5, for at most 200 iterations.
-
-    Preference is the median of the off-diagonal similarities. The run ends once
-    the exemplar set has stayed the same for 15 iterations. If it never
-    stabilizes, the current assignment is returned with ``converged=False``; if
-    no exemplar emerges at all, every point collapses into one cluster. A run
-    whose n x n arrays would not fit in physical memory, or whose squared
-    distances would overflow, raises ValueError before allocating any of them.
-    """
-    mat = as_matrix(data)
-    n = mat.shape[0]
-    if n < 2:
-        raise ValueError("affinity propagation requires at least 2 points")
-    _check_memory(n, "affinity_propagation")
-
-    sq = squared_norms(mat)
-    S = -(sq[:, None] + sq[None, :] - 2.0 * (mat @ mat.T))
-    np.fill_diagonal(S, 0.0)
-    off = S[~np.eye(n, dtype=bool)]
-    preference = float(np.median(off))
-    np.fill_diagonal(S, preference)
-
-    R = np.zeros((n, n))
-    A = np.zeros((n, n))
-    idx = np.arange(n)
-    stable = 0
-    exemplars: np.ndarray | None = None
-    converged = False
-
-    for _ in range(_AP_MAX_ITER):
-        # responsibilities
-        AS = A + S
-        first = np.max(AS, axis=1)
-        first_idx = np.argmax(AS, axis=1)
-        AS[idx, first_idx] = -np.inf
-        second = np.max(AS, axis=1)
-        Rnew = S - first[:, None]
-        Rnew[idx, first_idx] = S[idx, first_idx] - second
-        R = _AP_DAMPING * R + (1.0 - _AP_DAMPING) * Rnew
-
-        # availabilities
-        Rp = np.maximum(R, 0.0)
-        np.fill_diagonal(Rp, R.diagonal())
-        col = Rp.sum(axis=0)
-        Anew = col[None, :] - Rp
-        diag = Anew.diagonal().copy()
-        Anew = np.minimum(Anew, 0.0)
-        np.fill_diagonal(Anew, diag)
-        A = _AP_DAMPING * A + (1.0 - _AP_DAMPING) * Anew
-
-        ex = np.flatnonzero((R.diagonal() + A.diagonal()) > 0)
-        if exemplars is not None and np.array_equal(ex, exemplars):
-            stable += 1
-            if stable >= _AP_CONVERGENCE_ITER and ex.size > 0:
-                converged = True
-                exemplars = ex
-                break
-        else:
-            stable = 0
-        exemplars = ex
-
-    if exemplars is None or exemplars.size == 0:
-        # no consensus: everything collapses into one cluster
-        fallback = int(np.argmax(R.diagonal() + A.diagonal()))
-        return replace(_single_cluster(n), converged=False, exemplars=(fallback,))
-
-    assign = exemplars[np.argmax(S[:, exemplars], axis=1)]
-    assign[exemplars] = exemplars
-    dense, m = _relabel(assign)
-    return Clustering(
-        assignments=dense,
-        num_clusters=m,
-        converged=converged,
-        exemplars=tuple(dict.fromkeys(assign.tolist())),  # ordered by dense cluster index
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +458,10 @@ def _physical_memory() -> int:
 
 
 # float64 values in the n x n arrays each algorithm holds at its peak: the distances,
-# which Ward turns into its cost matrix while it keeps their upper triangle aside;
-# affinity propagation's messages and their temporaries
+# which Ward turns into its cost matrix while it keeps their upper triangle aside
 _PEAK_FLOATS = {
     "ward": lambda n: n * n + n * (n - 1) // 2,
     "kmeans": lambda n: n * n,
-    "affinity_propagation": lambda n: 10 * n * n,
 }
 
 

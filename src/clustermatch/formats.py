@@ -427,12 +427,13 @@ def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
 
 def write_clustering(clustering: Clustering, embeddings: Sequence[Embedding], path: str | Path) -> None:
     """Persist a clustering as versioned JSON: one [embedding id, cluster index] pair per point,
-    and the silhouette score the clustering carries (null when it carries none)."""
+    and the silhouette score the clustering carries (null when it carries none). The
+    ``converged`` key is kept for format v1 and is always true."""
     doc = {
         "format": "clustermatch-clustering",
         "version": CLUSTERING_VERSION,
         "num_clusters": clustering.num_clusters,
-        "converged": clustering.converged,
+        "converged": True,
         "silhouette_score": None if clustering.silhouette is None else clustering.silhouette.score,
         "assignments": [[eid, int(c)] for eid, c in zip(EmbeddingSet.of(embeddings).ids, clustering.assignments)],
     }

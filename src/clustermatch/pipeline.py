@@ -10,7 +10,6 @@ import numpy as np
 from .clustering import (
     Clustering,
     KSearchConfig,
-    affinity_propagation,
     checked_distances,
     estimate_clustering,
     kmeans,
@@ -45,19 +44,15 @@ def run_clustering(
     """Cluster an embedding set with a fixed k, or search for k when k is None;
     a clustering of two or more clusters comes back with its silhouette report."""
     mat = as_matrix(embeddings)
-    dist = None
-    if algorithm == "affinity_propagation":
-        clustering = affinity_propagation(mat)
-    elif k is None:
+    if k is None:
         return estimate_clustering(mat, algorithm=algorithm, config=ksearch, seed=seed)
-    elif algorithm not in ("ward", "kmeans"):
+    if algorithm not in ("ward", "kmeans"):
         raise ValueError(f"unknown clustering algorithm {algorithm!r}")
-    else:
-        n = mat.shape[0]
-        if not 1 <= k <= n:  # before the n x n matrix is built
-            raise ValueError(f"k={k} out of range [1, {n}]")
-        dist = checked_distances(mat, algorithm)
-        clustering = ward_tree(mat, dist=dist).cut(k) if algorithm == "ward" else kmeans(mat, k, seed=seed)
+    n = mat.shape[0]
+    if not 1 <= k <= n:  # before the n x n matrix is built
+        raise ValueError(f"k={k} out of range [1, {n}]")
+    dist = checked_distances(mat, algorithm)
+    clustering = ward_tree(mat, dist=dist).cut(k) if algorithm == "ward" else kmeans(mat, k, seed=seed)
     if clustering.num_clusters < 2:
         return clustering
     return replace(clustering, silhouette=silhouette(mat, clustering, dist=dist))

@@ -25,8 +25,9 @@ class TimelineSegment:
 def emit_timeline(tagged_frames, fps: float = DEFAULT_FPS) -> list[TimelineSegment]:
     """Collapse (identity, frame_index) pairs into maximal per-identity segments.
 
-    A gap in the frame sequence splits a run. Times are frame_index / fps.
-    Output is sorted by (first_frame, identity) for stable files.
+    A gap in the frame sequence splits a run. Times are frame_index / fps; a
+    time that is not a finite float raises ValueError naming the identity,
+    frame and fps. Output is sorted by (first_frame, identity) for stable files.
     """
     if not (math.isfinite(fps) and fps > 0):
         raise ValueError(f"fps must be positive and finite, got {fps}")
@@ -54,11 +55,21 @@ def emit_timeline(tagged_frames, fps: float = DEFAULT_FPS) -> list[TimelineSegme
 def _segment(identity: str, first: int, last: int, fps: float) -> TimelineSegment:
     return TimelineSegment(
         identity=identity,
-        start_time=first / fps,
-        end_time=last / fps,
+        start_time=_time(identity, first, fps),
+        end_time=_time(identity, last, fps),
         first_frame=first,
         last_frame=last,
     )
+
+
+def _time(identity: str, frame: int, fps: float) -> float:
+    try:
+        time = frame / fps
+    except OverflowError:  # a frame index beyond the float range
+        time = math.inf
+    if not math.isfinite(time):
+        raise ValueError(f"identity {identity!r}: frame {frame} at fps {fps!r} has no finite time in seconds")
+    return time
 
 
 def expand_segments(segments) -> set[tuple[str, int]]:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -124,13 +125,6 @@ class TestClusterAndEvaluate:
         out = tmp_path / "out.json"
         assert run([*argv, "--algo", "kmeans", "--in", emb, "--out", out]) == 0
         assert out.exists()
-
-    def test_affinity_propagation_needs_no_k(self, tmp_path):
-        emb = tmp_path / "train.emb"
-        run(SYNTH + ["--out", emb])
-        clustering = tmp_path / "cl.json"
-        assert run(["cluster", "--in", emb, "--algo", "ap", "--out", clustering]) == 0
-        assert json.loads(clustering.read_text())["num_clusters"] >= 1
 
 
 class TestFullPipeline:
@@ -260,28 +254,15 @@ class TestErrorHandling:
             run(["cluster", "--in", tmp_path / "x.emb", "--out", tmp_path / "o"])
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--k", "5"], ["--k", "0"], ["--auto-k"], ["--patience", "1"], ["--min-silhouette", "0.9"], ["--max-clusters", "2"]],
-    )
-    def test_affinity_propagation_refuses_k_search_flags(self, tmp_path, capsys, flags):
-        out = tmp_path / "cl.json"
-        with pytest.raises(SystemExit) as exited:
-            run(["cluster", "--in", tmp_path / "x.emb", "--algo", "ap", *flags, "--out", out])
-        assert exited.value.code == 2
-        assert f"--algo ap finds its own number of clusters and takes no {flags[0]}" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
         "argv",
         [
-            ["cluster", "--in", "x.emb", "--algo", "ap", "--k", "5", "--out", "o"],
             ["cluster", "--in", "x.emb", "--out", "o"],
             ["label", "--in", "x.emb", "--out", "o"],
             ["cluster", "--in", "x.emb", "--k", "nan", "--out", "o"],
             ["evaluate", "--mode", "vmeasure"],
             ["evaluate", "--mode", "video"],
         ],
-        ids=["ap-with-k", "cluster-without-k", "label-without-k", "k-nan", "vmeasure-without-files", "video-without-files"],
+        ids=["cluster-without-k", "label-without-k", "k-nan", "vmeasure-without-files", "video-without-files"],
     )
     def test_usage_error_shows_the_subcommand_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as exited:
@@ -290,6 +271,37 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"usage: clustermatch {argv[0]} ")
         assert f"\nclustermatch {argv[0]}: error: " in err
+
+    def test_affinity_propagation_is_no_choice(self, tmp_path, capsys):
+        out = tmp_path / "cl.json"
+        with pytest.raises(SystemExit) as exited:
+            run(["cluster", "--in", tmp_path / "x.emb", "--algo", "ap", "--auto-k", "--out", out])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: clustermatch cluster ")
+        assert "\nclustermatch cluster: error: argument --algo: invalid choice: 'ap'" in err
+        assert not out.exists()
+        (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        (algo,) = (a for a in commands.choices["cluster"]._actions if a.dest == "algo")
+        assert algo.choices == ["kmeans", "ward"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--identities", "5", "--points", "10", "--dim", "32"],
+            *([command, "--in", "{emb}", "--algo", algo, "--k", "2"] for command in ("cluster", "label") for algo in ("ward", "kmeans")),
+            *(["match", "--in", "{emb}", "--store", "{store}", "--algo", algo] for algo in ("ward", "kmeans")),
+        ],
+        ids=["synth", "cluster-ward", "cluster-kmeans", "label-ward", "label-kmeans", "match-ward", "match-kmeans"],
+    )
+    def test_negative_seed(self, emb, tmp_path, capsys, argv):
+        store, out = tmp_path / "store.json", tmp_path / "out"
+        assert run(["label", "--in", emb, "--k", "5", "--out", store]) == 0
+        capsys.readouterr()
+        argv = [a.format(emb=emb, store=store) for a in argv]
+        assert run([*argv, "--seed", "-1", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
     def test_evaluate_mode_arg_validation(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -461,6 +473,14 @@ class TestErrorHandling:
         self.assert_one_error_line(capsys, "l.tsv:3", "non-negative")
         assert not out.exists()
 
+    @pytest.mark.parametrize("frame, fps", [("5", "1e-310"), ("1" + "0" * 400, "30")], ids=["tiny-fps", "huge-frame"])
+    def test_timeline_time_beyond_the_float_range(self, tmp_path, capsys, frame, fps):
+        labels, out, as_json = tmp_path / "l.tsv", tmp_path / "s.tsv", tmp_path / "s.json"
+        labels.write_text(f"#labels v1\na\t{frame}\talice\n")
+        assert run(["timeline", "--labels", labels, "--fps", fps, "--out", out, "--json", as_json]) == 1
+        self.assert_one_error_line(capsys, "'alice'", f"frame {frame} ", f"fps {float(fps)!r}")
+        assert not out.exists() and not as_json.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--stddev", "inf"), ("--stddev", "nan"), ("--separation", "inf"), ("--separation", "nan"), ("--separation", "1e308"),
@@ -550,15 +570,7 @@ class TestErrorHandling:
         self.assert_one_error_line(capsys, "n=50", "GiB")
         assert not (tmp_path / "cl.json").exists()
 
-
-    def test_affinity_propagation_too_large_for_memory(self, emb, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 1 << 10)
-        capsys.readouterr()
-        assert run(["cluster", "--in", emb, "--algo", "ap", "--out", tmp_path / "cl.json"]) == 1
-        self.assert_one_error_line(capsys, "n=50", "GiB")
-        assert not (tmp_path / "cl.json").exists()
-
-    @pytest.mark.parametrize("flags", [["--auto-k"], ["--k", "2"], ["--algo", "ap"]], ids=["auto-k", "k2", "ap"])
+    @pytest.mark.parametrize("flags", [["--auto-k"], ["--k", "2"]], ids=["auto-k", "k2"])
     def test_overflowing_distances(self, tmp_path, capsys, flags):
         emb = tmp_path / "far.emb"
         rows = ["1e200,0", "-1e200,3", "1e200,1", "-1e200,4"]

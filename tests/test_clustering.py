@@ -7,7 +7,6 @@ from clustermatch import clustering as clustering_module
 from clustermatch.clustering import (
     Clustering,
     KSearchConfig,
-    affinity_propagation,
     estimate_clustering,
     kmeans,
     silhouette,
@@ -91,42 +90,6 @@ class TestKMeans:
         data = np.array([[0.0], [0.0], [0.0], [1.0], [9.0]])
         cl = kmeans(data, 4, seed=0)
         assert cl.num_clusters == 4
-
-
-class TestAffinityPropagation:
-    def test_two_far_pairs_and_exemplar_optimality(self):
-        data = np.array([[0.0, 0], [0.3, 0], [10, 10], [10.3, 10]])
-        cl = affinity_propagation(data)
-        assert cl.num_clusters == 2
-        assert partition_sets(cl) == {frozenset({0, 1}), frozenset({2, 3})}
-        # each cluster's exemplar maximizes net similarity to its members
-        sq = np.sum(data**2, axis=1)
-        S = -(sq[:, None] + sq[None, :] - 2 * data @ data.T)
-        assert cl.exemplars is not None
-        for c, members in enumerate(cl.member_groups()):
-            members = members.tolist()
-            scores = {m: sum(S[i, m] for i in members) for m in members}
-            assert scores[cl.exemplars[c]] == max(scores.values())
-            assert cl.exemplars[c] in members
-
-    def test_identical_points_single_cluster(self):
-        data = np.zeros((5, 3))
-        cl = affinity_propagation(data)
-        assert cl.num_clusters == 1
-
-    def test_uniform_pathological_data_flags_nonconvergence(self, monkeypatch):
-        # a perfect lattice gives no preference signal; accept either a clean
-        # result or a single collapsed cluster, but the flag must be coherent
-        data = np.array([[float(i)] for i in range(6)])
-        monkeypatch.setattr(clustering_module, "_AP_MAX_ITER", 10)
-        cl = affinity_propagation(data)
-        assert cl.num_clusters >= 1
-        if cl.num_clusters == 1:
-            assert not cl.converged
-
-    def test_requires_two_points(self):
-        with pytest.raises(ValueError):
-            affinity_propagation(np.zeros((1, 2)))
 
 
 class TestWard:
@@ -379,21 +342,6 @@ class TestMemoryCheck:
         # plus the row blocks that pairwise_distances and the Ward loop's compaction move at a time
         block_temporaries = 2 * DISTANCE_BLOCK * n * 8
         assert peak < (n * n + n * (n - 1) // 2) * 8 + block_temporaries
-
-    def test_affinity_propagation_is_checked_before_it_allocates(self, monkeypatch):
-        n = 200
-        data = np.random.default_rng(38).normal(size=(n, 2))
-        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 10 * n * n * 8 - 1)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=r"n=200 points needs"):
-                run_clustering(data, algorithm="affinity_propagation")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < n * n * 8
-        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 10 * n * n * 8)
-        assert run_clustering(data, algorithm="affinity_propagation").n_points == n
 
     def test_probe_reads_this_machine(self):
         assert clustering_module._physical_memory() > 0

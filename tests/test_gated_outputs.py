@@ -11,7 +11,7 @@ PER_SEED = [
     "labels-centroid.tsv", "report-centroid.json", "labels-silhouette.tsv", "report-silhouette.json",
     "evaluate-video.json", "evaluate-vmeasure.json", "segments.tsv", "segments.json",
 ]
-EXPECTED = sorted(["faces.emb", "withheld.txt", "cluster-ap.json", *(f"seed{s}/{name}" for s in (3, 5) for name in PER_SEED)])
+EXPECTED = sorted(["faces.emb", "withheld.txt", *(f"seed{s}/{name}" for s in (3, 5) for name in PER_SEED)])
 
 
 def gated_outputs() -> list[str]:

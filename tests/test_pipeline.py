@@ -26,9 +26,7 @@ def small_world():
     return ds, store
 
 
-@pytest.mark.parametrize(
-    "algorithm,k", [("ward", None), ("kmeans", None), ("ward", 3), ("kmeans", 3), ("affinity_propagation", None)]
-)
+@pytest.mark.parametrize("algorithm,k", [("ward", None), ("kmeans", None), ("ward", 3), ("kmeans", 3)])
 def test_run_clustering_attaches_the_silhouette_report(small_world, algorithm, k):
     ds, _ = small_world
     mat = np.asarray([e.vector for e in ds.embeddings])

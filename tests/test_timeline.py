@@ -38,6 +38,11 @@ class TestEmitTimeline:
         with pytest.raises(ValueError):
             emit_timeline([("A", 0)], fps=0)
 
+    @pytest.mark.parametrize("frame, fps", [(5, 1e-310), (10**400, 30.0)], ids=["tiny-fps", "huge-frame"])
+    def test_time_beyond_the_float_range(self, frame, fps):
+        with pytest.raises(ValueError, match=f"'A': frame {frame} at fps {fps!r}"):
+            emit_timeline([("A", frame)], fps=fps)
+
     def test_duplicate_tags_collapse(self):
         segments = emit_timeline([("A", 0), ("A", 0), ("A", 1)])
         assert len(segments) == 1

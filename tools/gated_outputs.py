@@ -7,7 +7,6 @@ At `--seed` 3 and 5 it runs `cluster --auto-k`, `--k 3` and `--algo kmeans --k 3
 with each embedding method against the second store, each with `--report`;
 `evaluate --mode video` on the centroid labels and `--mode vmeasure` on the
 `--auto-k` clustering; and `timeline --fps 30 --json` on the centroid labels.
-`cluster --algo ap` runs once (about 17 s on this world with 2 vCPUs).
 
 The program is imported as `clustermatch`, so the tree checked is the one on the
 path. To compare a change with its parent:
@@ -39,7 +38,6 @@ def commands(identities: int, points: int, dim: int) -> list[list[str]]:
     runs = [
         ["synth", "--identities", str(identities), "--points", str(points), "--dim", str(dim), "--stddev", "0.25",
          "--fraction-nonregistered", "0.1667", "--seed", "7", "--out", "faces.emb", "--nonregistered-out", "withheld.txt"],
-        ["cluster", "--in", "faces.emb", "--algo", "ap", "--out", "cluster-ap.json"],
     ]
     for seed in SEEDS:
         d, seeded = f"seed{seed}", ["--in", "faces.emb", "--seed", str(seed)]
