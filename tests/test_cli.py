@@ -261,8 +261,10 @@ class TestErrorHandling:
             ["cluster", "--in", "x.emb", "--k", "nan", "--out", "o"],
             ["evaluate", "--mode", "vmeasure"],
             ["evaluate", "--mode", "video"],
+            ["cluster", "--in", "x.emb", "--algo", "kmeans", "--out", "o"],
         ],
-        ids=["cluster-without-k", "label-without-k", "k-nan", "vmeasure-without-files", "video-without-files"],
+        ids=["cluster-without-k", "label-without-k", "k-nan", "vmeasure-without-files", "video-without-files",
+             "kmeans-without-k"],
     )
     def test_usage_error_shows_the_subcommand_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as exited:
@@ -570,7 +572,19 @@ class TestErrorHandling:
         self.assert_one_error_line(capsys, "n=50", "GiB")
         assert not (tmp_path / "cl.json").exists()
 
-    @pytest.mark.parametrize("flags", [["--auto-k"], ["--k", "2"]], ids=["auto-k", "k2"])
+    @pytest.mark.parametrize("algo", ["ward", "kmeans"])
+    def test_fixed_k_run_too_large_for_memory(self, emb, tmp_path, capsys, monkeypatch, algo):
+        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 1 << 10)
+        capsys.readouterr()
+        assert run(["cluster", "--in", emb, "--algo", algo, "--k", "2", "--out", tmp_path / "cl.json"]) == 1
+        self.assert_one_error_line(capsys, "n=50", "GiB")
+        assert not (tmp_path / "cl.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--auto-k"], ["--k", "2"], ["--algo", "kmeans", "--auto-k"], ["--algo", "kmeans", "--k", "2"]],
+        ids=["auto-k", "k2", "kmeans-auto-k", "kmeans-k2"],
+    )
     def test_overflowing_distances(self, tmp_path, capsys, flags):
         emb = tmp_path / "far.emb"
         rows = ["1e200,0", "-1e200,3", "1e200,1", "-1e200,4"]
