@@ -2,11 +2,13 @@
 
 Everything is line-oriented text (or JSON for the store) with floats written at
 full round-trip precision, so reading back a file reproduces the in-memory
-values bit for bit.
+values bit for bit. A large store also gets a private binary sidecar beside it,
+which spares later reads of the same bytes the JSON parse (see ``read_store``).
 """
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 import os
@@ -31,17 +33,20 @@ class FormatError(ValueError):
     """A file failed to parse; the message names the offending line, or entry and key."""
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    """Write through a new temporary file in the target's directory, then rename it.
-    The file is created with mode 0666, less the umask in force, as ``open`` creates one.
-    A failure is reported against the target path: the temporary name is random."""
+def _atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (text is encoded as UTF-8) through a new temporary file in the
+    target's directory, then rename it. The file is created with mode 0666, less the
+    umask in force, as ``open`` creates one. A failure is reported against the target
+    path: the temporary name is random."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                f.write(text)
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -68,24 +73,26 @@ def _nesting_depth(data: bytes) -> int:
     return int(np.cumsum(steps).max())
 
 
-def _read_json_object(path: str | Path) -> dict:
-    doc = _loads(path, Path(path).read_bytes())
+def _read_json_object(path: str | Path, data: bytes) -> tuple[dict, bool]:
+    """The JSON object in ``data``, read from ``path``, and whether orjson parsed it."""
+    doc, by_orjson = _loads(path, data)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object at the top level, got {type(doc).__name__}")
-    return doc
+    return doc, by_orjson
 
 
-def _loads(path: str | Path, data: bytes):
-    """The JSON document in ``data``. orjson parses it when it can; Python's json decides
-    every input orjson rejects or that is nested too deeply for it (NaN, 1e400, a lone
-    surrogate, a 100 000-deep nest), so its accepted inputs, values and messages stand."""
+def _loads(path: str | Path, data: bytes) -> tuple[object, bool]:
+    """The JSON document in ``data``, and whether orjson parsed it. orjson parses it when
+    it can; Python's json decides every input orjson rejects or that is nested too deeply
+    for it (NaN, 1e400, a lone surrogate, a 100 000-deep nest), so its accepted inputs,
+    values and messages stand."""
     if _nesting_depth(data) <= _ORJSON_MAX_DEPTH:
         try:
-            return orjson.loads(data)
+            return orjson.loads(data), True
         except orjson.JSONDecodeError:
             pass
     try:  # decoded as Path.read_text decodes, so error positions are the same
-        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()), False
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
@@ -138,10 +145,14 @@ def _numbers(value) -> list:
     return value
 
 
-def _histogram(value) -> dict[str, int]:
+def _object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {type(value).__name__}")
-    for label, count in value.items():
+    return value
+
+
+def _histogram(value) -> dict[str, int]:
+    for label, count in _object(value).items():
         if type(count) is not int or count < 0:
             raise ValueError(f"count of {label!r} is {count!r}, expected a non-negative integer")
     return value
@@ -390,13 +401,33 @@ def _collector_paused():
 @_collector_paused()
 def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
     """Load a store file; returns the set and its creation metadata.
-    The cyclic collector is paused while the file is parsed and its columns built."""
-    doc = _read_json_object(path)
+
+    The file is read once. When it holds at least ``_STORE_CACHE_MIN_BYTES``, its
+    sidecar (``_store_cache_path``) is loaded instead of parsing the JSON, if it was
+    written for the same bytes; otherwise the JSON is parsed and the sidecar written.
+    The cyclic collector is paused while the store is built."""
+    data = Path(path).read_bytes()
+    digest = hashlib.sha256(data).digest() if len(data) >= _STORE_CACHE_MIN_BYTES else None
+    if digest is not None and (cached := _load_store_cache(path, digest)) is not None:
+        return cached
+    doc, by_orjson = _read_json_object(path, data)
+    del data  # the parse tree outweighs the bytes; let them go before the columns are built
+    store, metadata = _parse_store(path, doc)
+    del doc
+    # json's reading of a file orjson rejects (NaN, 1e400) would not survive orjson.dumps
+    if digest is not None and by_orjson:
+        _save_store_cache(path, digest, store, metadata)
+    return store, metadata
+
+
+def _parse_store(path: str | Path, doc: dict) -> tuple[LabeledClusterSet, dict]:
+    """The store and metadata of a parsed store document; FormatError names what is wrong."""
     if doc.get("format") != "clustermatch-store":
         raise FormatError(f"{path}: not a clustermatch store file")
     _version(path, doc, STORE_VERSION, "store")
     dimension = _field(path, "top level", doc, "dimension", _positive_int)
     entries = _field(path, "top level", doc, "entries", _list)
+    metadata = _field(path, "top level", doc, "metadata", _object) if "metadata" in doc else {}
     for index, e in enumerate(entries):
         if not isinstance(e, dict):
             raise FormatError(f"{path}: entry {index}: expected a JSON object, got {type(e).__name__}")
@@ -415,10 +446,72 @@ def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
         best_silhouette_vectors=_matrix(path, entries, "best_silhouette_vector", dimension),
     )
     try:
-        store = LabeledClusterSet(**columns)
+        return LabeledClusterSet(**columns), metadata
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    return store, doc.get("metadata", {})
+
+
+# A store file at least this large gets a sidecar: parsing a smaller one takes under
+# about 50 ms (some 7 ms per MB), which a sidecar would barely shorten.
+_STORE_CACHE_MIN_BYTES = 8 << 20
+_STORE_CACHE_VERSION = 1
+# the string and dict columns, and the metadata, travel in one orjson document
+_STORE_CACHE_COLUMNS = ("labels", "member_ids", "best_silhouette_ids", "histograms")
+
+
+def _store_cache_path(path: str | Path) -> Path:
+    """The sidecar of a store: a hidden file beside it, safe to delete at any time."""
+    path = Path(path)
+    return path.parent / f".{path.name}.clustermatch-cache"
+
+
+def _load_store_cache(path: str | Path, digest: bytes) -> tuple[LabeledClusterSet, dict] | None:
+    """The store and metadata that the sidecar of ``path`` holds for the file bytes whose
+    sha256 is ``digest``. None when the sidecar is missing, unreadable, of another version
+    or of other bytes, or when its columns fail the checks: the caller then parses the file."""
+    try:
+        with np.load(_store_cache_path(path), allow_pickle=False) as cache:
+            if int(cache["version"]) != _STORE_CACHE_VERSION or cache["digest"].tobytes() != digest:
+                return None
+            blob = cache["columns"].tobytes()
+            centroids, best_vectors = cache["centroids"], cache["best_silhouette_vectors"]
+        if _nesting_depth(blob) > _ORJSON_MAX_DEPTH:
+            return None
+        doc = orjson.loads(blob)
+        columns = {key: doc[key] for key in _STORE_CACHE_COLUMNS}
+        metadata = _object(doc["metadata"])
+        # LabeledClusterSet checks the labels and the matrices' values, not these types
+        if not (
+            _all_string_lists(columns["member_ids"])
+            and _all_strings(columns["best_silhouette_ids"])
+            and centroids.dtype == best_vectors.dtype == np.float64
+        ):
+            return None
+        for histogram in columns["histograms"]:
+            _histogram(histogram)
+        return LabeledClusterSet(**columns, centroids=centroids, best_silhouette_vectors=best_vectors), metadata
+    except Exception:  # whatever is wrong with the sidecar, the file itself decides
+        return None
+
+
+def _save_store_cache(path: str | Path, digest: bytes, store: LabeledClusterSet, metadata: dict) -> None:
+    """Write the sidecar of ``path`` for the bytes whose sha256 is ``digest``: one uncompressed
+    ``np.savez`` archive with no pickled object. A sidecar that cannot be written is skipped."""
+    try:
+        doc = {key: getattr(store, key) for key in _STORE_CACHE_COLUMNS}
+        doc["metadata"] = metadata
+        archive = io.BytesIO()
+        np.savez(
+            archive,
+            version=np.int64(_STORE_CACHE_VERSION),
+            digest=np.frombuffer(digest, np.uint8),
+            columns=np.frombuffer(orjson.dumps(doc), np.uint8),
+            centroids=store.centroids,
+            best_silhouette_vectors=store.best_silhouette_vectors,
+        )
+        _atomic_write(_store_cache_path(path), archive.getbuffer())
+    except Exception:  # a read-only directory, a full disk: the store was read all the same
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +535,7 @@ def write_clustering(clustering: Clustering, embeddings: Sequence[Embedding], pa
 
 def read_clustering(path: str | Path) -> tuple[dict[str, int], int]:
     """Load a clustering file; returns the cluster index by embedding id, and the cluster count."""
-    doc = _read_json_object(path)
+    doc, _ = _read_json_object(path, Path(path).read_bytes())
     if doc.get("format") != "clustermatch-clustering":
         raise FormatError(f"{path}: not a clustering file")
     _version(path, doc, CLUSTERING_VERSION, "clustering")

@@ -2,12 +2,17 @@ import functools
 import gc
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clustermatch import formats
+from clustermatch.cli import main
 from clustermatch.clustering import Clustering
 from clustermatch.formats import (
     FormatError,
@@ -26,6 +31,7 @@ from clustermatch.geometry import Embedding, EmbeddingSet, as_matrix
 from clustermatch.matching import LabeledClusterSet
 
 from . import oracles
+from .stores import store_of
 
 
 @pytest.fixture
@@ -172,17 +178,21 @@ class TestEmbeddingFile:
             back.ids = ()
 
 
+def two_entries() -> LabeledClusterSet:
+    return LabeledClusterSet(
+        labels=["alice", "bob"],
+        member_ids=[("a1", "a2"), ("b1",)],
+        best_silhouette_ids=["a1", "b1"],
+        histograms=[{"alice": 2}, {"bob": 1}],
+        centroids=[(0.5, 1 / 3), (9.0, -2.0)],
+        best_silhouette_vectors=[(0.25, 0.4), (9.0, -2.0)],
+    )
+
+
 class TestStoreFile:
     @pytest.fixture
     def store(self):
-        return LabeledClusterSet(
-            labels=["alice", "bob"],
-            member_ids=[("a1", "a2"), ("b1",)],
-            best_silhouette_ids=["a1", "b1"],
-            histograms=[{"alice": 2}, {"bob": 1}],
-            centroids=[(0.5, 1 / 3), (9.0, -2.0)],
-            best_silhouette_vectors=[(0.25, 0.4), (9.0, -2.0)],
-        )
+        return two_entries()
 
     def test_round_trip_bit_exact(self, tmp_path, store):
         path = tmp_path / "s.json"
@@ -226,6 +236,8 @@ class TestStoreFile:
     @pytest.mark.parametrize(
         "key, value, reason",
         [
+            pytest.param("metadata", None, "expected an object, got NoneType", id="metadata-null"),
+            pytest.param("metadata", [], "expected an object, got list", id="metadata-list"),
             pytest.param("centroid", "oops", "expected a list, got str", id="centroid-oops"),
             pytest.param("centroid", [1.0, "x"], "component 1 is str, expected a number", id="centroid-value1"),
             pytest.param("member_ids", [1], "expected a string, got int", id="member_ids-value2"),
@@ -247,14 +259,24 @@ class TestStoreFile:
         ],
     )
     def test_bad_entry_value_names_file_entry_and_key(self, tmp_path, store, key, value, reason):
+        """``metadata`` is a top-level key; every other key is an entry's."""
         path = tmp_path / "s.json"
         write_store(store, path)
         doc = json.loads(path.read_text())
-        doc["entries"][0][key] = value
+        where, owner = ("top level", doc) if key == "metadata" else ("entry 0", doc["entries"][0])
+        owner[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError) as raised:
             read_store(path)
-        assert str(raised.value) == f"{path}: entry 0: bad value for '{key}' ({reason})"
+        assert str(raised.value) == f"{path}: {where}: bad value for '{key}' ({reason})"
+
+    def test_missing_metadata_reads_as_empty(self, tmp_path, store):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        del doc["metadata"]
+        path.write_text(json.dumps(doc))
+        assert read_store(path) == (store, {})
 
     @pytest.mark.parametrize("key", ["centroid", "best_silhouette_vector"])
     @pytest.mark.parametrize(
@@ -347,6 +369,191 @@ class TestStoreFile:
         write_store(store, path)
         path.write_text(path.read_text().replace('"bob"', '"\\ud800"'))
         assert read_store(path)[0].labels == ("alice", "\ud800")
+
+
+class TestStoreSidecar:
+    """With the threshold lowered, every store read goes through the sidecar logic."""
+
+    @pytest.fixture(autouse=True)
+    def small_threshold(self, monkeypatch):
+        monkeypatch.setattr(formats, "_STORE_CACHE_MIN_BYTES", 1)
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The number of times read_store has parsed a store's JSON."""
+        calls = []
+        parse = formats._parse_store
+        monkeypatch.setattr(formats, "_parse_store", lambda *args: calls.append(args) or parse(*args))
+        return calls
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "s.json"
+        write_store(two_entries(), path, metadata={"seed": 0, "algorithm": "ward", "k": 2})
+        return path
+
+    def test_second_read_comes_from_the_sidecar_and_equals_the_first(self, tmp_path, path, parses):
+        cache = tmp_path / ".s.json.clustermatch-cache"
+        first, meta = read_store(path)
+        assert cache.is_file() and len(parses) == 1
+        second, meta2 = read_store(path)
+        assert len(parses) == 1
+        assert second == first
+        assert list(meta2.items()) == list(meta.items()) == [("seed", 0), ("algorithm", "ward"), ("k", 2)]
+        copy = tmp_path / "copy.json"
+        write_store(second, copy, metadata=meta2)
+        assert copy.read_bytes() == path.read_bytes()
+
+    def test_below_the_threshold_no_sidecar_is_written(self, tmp_path, path, monkeypatch):
+        monkeypatch.setattr(formats, "_STORE_CACHE_MIN_BYTES", path.stat().st_size + 1)
+        read_store(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    def test_changed_store_is_reread_and_its_sidecar_rewritten(self, tmp_path, path, parses):
+        cache = tmp_path / ".s.json.clustermatch-cache"
+        read_store(path)
+        old = cache.read_bytes()
+        other = store_of([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        write_store(other, path, metadata={"seed": 1})
+        assert read_store(path) == (other, {"seed": 1})
+        assert len(parses) == 2 and cache.read_bytes() != old
+        assert read_store(path) == (other, {"seed": 1})
+        assert len(parses) == 2
+
+    @staticmethod
+    def columns(**changes):
+        """A sidecar's ``columns`` member for two entries, with some of its items changed."""
+        doc = {"labels": ["a", "b"], "member_ids": [["x"], ["y"]], "best_silhouette_ids": ["x", "y"],
+               "histograms": [{}, {}], "metadata": {}}
+        doc.update(changes)
+        return np.frombuffer(json.dumps(doc).encode(), np.uint8)
+
+    def assert_ignored_and_rewritten(self, path, parses, capsys, spoil):
+        """``spoil(cache)`` damages the sidecar of a store read once; the next read parses
+        the store and gives the same result, silently, and the read after loads the sidecar."""
+        cache = path.parent / f".{path.name}.clustermatch-cache"
+        expected = read_store(path)
+        spoil(cache)
+        assert read_store(path) == expected
+        assert len(parses) == 2
+        if cache.is_file():  # a directory in its place cannot be replaced by a file
+            assert read_store(path) == expected
+            assert len(parses) == 2
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda data: data[: len(data) // 2], lambda data: b"not a sidecar\n" * 100, lambda data: b""],
+        ids=["truncated", "garbage", "empty"],
+    )
+    def test_damaged_sidecar_file(self, path, parses, capsys, spoil):
+        self.assert_ignored_and_rewritten(path, parses, capsys, lambda cache: cache.write_bytes(spoil(cache.read_bytes())))
+
+    def test_directory_in_place_of_the_sidecar(self, path, parses, capsys):
+        self.assert_ignored_and_rewritten(path, parses, capsys, lambda cache: (cache.unlink(), cache.mkdir()))
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            pytest.param(dict(version=np.int64(0)), id="old-version"),
+            pytest.param(dict(digest=np.zeros(32, np.uint8)), id="other-digest"),
+            pytest.param(dict(centroids=np.zeros((2, 2), np.int64)), id="integer-matrix"),
+            pytest.param(dict(centroids=np.full((2, 2), np.nan)), id="nan-matrix"),
+            pytest.param(dict(columns=np.frombuffer(b'{"labels": ["a", "b"]}', np.uint8)), id="missing-column"),
+            pytest.param(dict(columns=columns(labels=["a\tb", "c"])), id="label-with-a-tab"),
+            pytest.param(dict(columns=columns(labels=[1, "b"])), id="integer-label"),
+            pytest.param(dict(columns=columns(member_ids=[[1], ["y"]])), id="integer-member-id"),
+            pytest.param(dict(columns=columns(best_silhouette_ids=["x", 2])), id="integer-best-id"),
+            pytest.param(dict(columns=columns(histograms=[{}, {"b": -1}])), id="negative-count"),
+            pytest.param(dict(columns=columns(metadata=None)), id="null-metadata"),
+        ],
+    )
+    def test_sidecar_with_a_bad_member(self, path, parses, capsys, members):
+        """The digest in the changed sidecar is still that of the store."""
+        self.assert_ignored_and_rewritten(path, parses, capsys, lambda cache: self.rewrite(cache, members))
+
+    @staticmethod
+    def rewrite(cache, members: dict) -> None:
+        """Write the sidecar ``cache`` again with some of its archive members changed."""
+        with np.load(cache) as archive:
+            changed = {name: archive[name] for name in archive.files} | members
+        with open(cache, "wb") as f:
+            np.savez(f, **changed)
+
+    def test_deep_nest_in_the_sidecar_is_not_parsed(self, tmp_path, path):
+        """orjson would crash the process on a 200 000-deep nest, so the read runs in a
+        subprocess, where a crash fails the test."""
+        read_store(path)
+        nest = b"[" * 200_000 + b"]" * 200_000
+        self.rewrite(tmp_path / ".s.json.clustermatch-cache", {"columns": np.frombuffer(nest, np.uint8)})
+        code = "import sys; from clustermatch import formats as f; f._STORE_CACHE_MIN_BYTES = 1; print(len(f.read_store(sys.argv[1])[0]))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "2\n"), done.stderr[-500:]
+
+    def test_failed_sidecar_write_leaves_the_read_intact(self, tmp_path, path, monkeypatch, capsys):
+        def refuse(target, data):
+            raise OSError(30, "Read-only file system", str(target))
+
+        monkeypatch.setattr(formats, "_atomic_write", refuse)
+        expected = two_entries()
+        assert read_store(path) == (expected, {"seed": 0, "algorithm": "ward", "k": 2})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+        assert capsys.readouterr() == ("", "")
+
+    def test_invalid_store_raises_and_writes_no_sidecar(self, tmp_path, path):
+        path.write_text(path.read_text().replace('"centroid": [', '"centroid": [true, ', 1))
+        with pytest.raises(FormatError, match="s.json: entry 0: bad value for 'centroid'"):
+            read_store(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    def test_store_read_by_json_gets_no_sidecar(self, tmp_path, path, parses):
+        """orjson rejects NaN; json reads it, and orjson.dumps would write it as null."""
+        path.write_text(path.read_text().replace('"seed": 0', '"seed": NaN'))
+        for reads in (1, 2):
+            _, meta = read_store(path)
+            assert np.isnan(meta["seed"]) and len(parses) == reads
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    def test_the_file_is_read_once_so_hash_and_parse_see_the_same_bytes(self, tmp_path, path, monkeypatch):
+        """A writer replaces the store between the read and the parse: the sidecar written
+        is that of the bytes parsed, so the next read sees the new store."""
+        other = store_of([[1.0, 2.0]])
+        replacement = tmp_path / "other.json"
+        write_store(other, replacement)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def read_then_replace(self):
+            data = read_bytes(self)
+            if self == path:
+                reads.append(data)
+                if len(reads) == 1:
+                    os.replace(replacement, path)
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+        first, _ = read_store(path)
+        assert first == two_entries()
+        assert read_store(path) == (other, {})
+        assert len(reads) == 2
+
+    def test_two_matches_on_a_large_store_write_the_same_bytes(self, tmp_path, monkeypatch, parses):
+        faces = tmp_path / "faces.emb"
+        store = tmp_path / "store.json"
+        assert main(["synth", "--identities", "4", "--points", "6", "--dim", "8", "--seed", "1", "--out", str(faces)]) == 0
+        assert main(["label", "--in", str(faces), "--k", "4", "--out", str(store)]) == 0
+        monkeypatch.setattr(formats, "_STORE_CACHE_MIN_BYTES", store.stat().st_size)
+        outputs = []
+        for run in (1, 2):
+            labels, report = tmp_path / f"labels{run}.tsv", tmp_path / f"report{run}.json"
+            argv = ["match", "--in", str(faces), "--store", str(store), "--out", str(labels), "--report", str(report)]
+            assert main(argv) == 0
+            assert (tmp_path / ".store.json.clustermatch-cache").is_file()
+            outputs.append((labels.read_bytes(), report.read_bytes()))
+        assert len(parses) == 1
+        assert outputs[0] == outputs[1]
 
 
 def json_depth(value) -> int:
