@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -17,7 +16,14 @@ from .timeline import DEFAULT_FPS, emit_timeline, format_segments, segments_to_r
 _METHODS = {"centroid": CENTROID, "silhouette": BEST_SILHOUETTE}
 
 
-def _add_ksearch_flags(p: argparse.ArgumentParser) -> None:
+def _add_clustering_flags(p: argparse.ArgumentParser, fixed_k: bool) -> None:
+    """``--in``, ``--algo``, ``--seed`` and the K search's flags; with ``fixed_k``, ``--k`` and ``--auto-k`` too."""
+    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--algo", choices=["kmeans", "ward"], default="ward")
+    if fixed_k:
+        p.add_argument("--k", type=int)
+        p.add_argument("--auto-k", action="store_true", help="pick k by silhouette score")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patience", type=int, help="consecutive non-improvements before the K search stops")
     p.add_argument("--min-silhouette", type=float, help="below this best score, collapse to one cluster")
     p.add_argument("--max-clusters", type=int)
@@ -112,7 +118,7 @@ def cmd_match(args) -> int:
                 for o in result.outcomes
             ],
         }
-        formats._atomic_write(args.report, json.dumps(report, indent=1) + "\n")
+        formats.write_json(args.report, report)
     matched = sum(1 for o in result.outcomes if o.decision.matched)
     print(
         f"labeled {len(result.face_labels)} faces across {result.clustering.num_clusters} clusters "
@@ -162,10 +168,7 @@ def cmd_evaluate(args) -> int:
             "frames": score.n_frames,
             "exact_match_frames": score.n_exact_frames,
         }
-    text = json.dumps(out, indent=1)
-    if args.out:
-        formats._atomic_write(args.out, text + "\n")
-    print(text)
+    print(formats.write_json(args.out or None, out), end="")
     return 0
 
 
@@ -179,7 +182,7 @@ def cmd_timeline(args) -> int:
     segments = emit_timeline(tagged, fps=args.fps)
     formats._atomic_write(args.out, format_segments(segments))
     if args.json:
-        formats._atomic_write(args.json, json.dumps(segments_to_records(segments), indent=1) + "\n")
+        formats.write_json(args.json, segments_to_records(segments))
     print(f"wrote {len(segments)} segments to {args.out}")
     return 0
 
@@ -202,22 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cluster", help="cluster an embedding file")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--algo", choices=["kmeans", "ward"], default="ward")
-    p.add_argument("--k", type=int)
-    p.add_argument("--auto-k", action="store_true", help="pick k by silhouette score")
-    p.add_argument("--seed", type=int, default=0)
-    _add_ksearch_flags(p)
+    _add_clustering_flags(p, fixed_k=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("label", help="build a labeled cluster store from an embedding file")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--algo", choices=["kmeans", "ward"], default="ward")
-    p.add_argument("--k", type=int)
-    p.add_argument("--auto-k", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    _add_ksearch_flags(p)
+    _add_clustering_flags(p, fixed_k=True)
     p.add_argument(
         "--exclude-labels-file", help="identities to withhold from the store, one label per line (blank lines skipped)"
     )
@@ -225,14 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("match", help="recognize a video embedding file against a store")
-    p.add_argument("--in", dest="input", required=True)
+    _add_clustering_flags(p, fixed_k=False)
     p.add_argument("--store", required=True)
     p.add_argument("--alpha", type=int, default=DEFAULT_ALPHA)
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--embedding-method", choices=["centroid", "silhouette"], default="centroid")
-    p.add_argument("--algo", choices=["kmeans", "ward"], default="ward")
-    p.add_argument("--seed", type=int, default=0)
-    _add_ksearch_flags(p)
     p.add_argument("--out", required=True, help="per-face label file")
     p.add_argument("--report", help="per-cluster decision report (JSON)")
     p.set_defaults(func=cmd_match)

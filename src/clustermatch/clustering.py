@@ -106,6 +106,7 @@ def _kmeans_pp_init(mat: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 _KMEANS_MAX_ITER = 300
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def kmeans(data, k: int, seed: int = 0) -> Clustering:
@@ -117,10 +118,16 @@ def kmeans(data, k: int, seed: int = 0) -> Clustering:
     The data are centred first: the expanded squared distances below round in
     proportion to ||x||^2, so data far from the origin would otherwise cluster
     differently from the same data shifted back.
+
+    A step can raise the computed objective by rounding alone. With B(a, c) =
+    4(d + 4)·eps·sum_i(||x_i||^2 + ||c_{a_i}||^2), which bounds the rounding of the
+    objective of assignment a to centres c (as in ``matching._screen``), a step that
+    moves a's centres c0 to a's means c and then reassigns raises it by at most
+    B(a, c0) + B(a, c). Such a rise ends the loop with assignment a; a larger one raises.
     """
     mat = as_matrix(data)
     mat = mat - mat.mean(axis=0)
-    n = mat.shape[0]
+    n, d = mat.shape
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
@@ -129,12 +136,10 @@ def kmeans(data, k: int, seed: int = 0) -> Clustering:
 
     prev_obj = np.inf
     assign = np.zeros(n, dtype=int)
+    sq = np.sum(mat**2, axis=1)
     for _ in range(_KMEANS_MAX_ITER):
-        d2 = (
-            np.sum(mat**2, axis=1)[:, None]
-            - 2.0 * (mat @ centers.T)
-            + np.sum(centers**2, axis=1)[None, :]
-        )
+        center_sq = np.sum(centers**2, axis=1)
+        d2 = sq[:, None] - 2.0 * (mat @ centers.T) + center_sq[None, :]
         new_assign = np.argmin(d2, axis=1)
 
         # repair empty clusters with the globally farthest point
@@ -154,10 +159,13 @@ def kmeans(data, k: int, seed: int = 0) -> Clustering:
 
         obj = float(np.sum(d2[np.arange(n), new_assign].clip(min=0.0)))
         if obj > prev_obj * (1 + 1e-12) + 1e-12:
-            raise RuntimeError("k-means objective increased; internal invariant violated")
+            if obj - prev_obj > 4 * (d + 4) * _EPS * np.sum(2 * sq + prev_center_sq[assign] + center_sq[assign]):
+                raise RuntimeError("k-means objective increased; internal invariant violated")
+            break  # by rounding: keep the assignment from before the rise
         converged_now = np.array_equal(new_assign, assign) and prev_obj < np.inf
         assign = new_assign
         prev_obj = obj
+        prev_center_sq = np.sum(centers**2, axis=1)  # after the repair: the centres obj was computed against
         for j in range(k):
             members = mat[assign == j]
             centers[j] = members.mean(axis=0)

@@ -13,7 +13,6 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,6 +52,15 @@ def _atomic_write(path: str | Path, data: str | bytes) -> None:
             raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
+def write_json(path: str | Path | None, doc) -> str:
+    """The text of every JSON file this program writes: ``doc`` with a one-space indent and a
+    final newline. It is written to ``path`` unless that is None, and returned."""
+    text = json.dumps(doc, indent=1) + "\n"
+    if path is not None:
+        _atomic_write(path, text)
+    return text
 
 
 # orjson 3.8 crashes the process (SIGSEGV) on a closed nest 150 000 deep; the files
@@ -115,12 +123,6 @@ def _list(value) -> list:
     return value
 
 
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
 def _positive_int(value) -> int:
     if type(value) is not int or value < 1:
         raise ValueError(f"{value!r} is not a positive JSON integer")
@@ -134,10 +136,6 @@ def _version(path: str | Path, doc: dict, expected: int, what: str) -> None:
         raise FormatError(f"{path}: unsupported {what} version {version!r}")
 
 
-def _strings(value) -> tuple[str, ...]:
-    return tuple(_string(x) for x in _list(value))
-
-
 def _numbers(value) -> list:
     for component, x in enumerate(_list(value)):
         if type(x) not in _NUMBER_TYPES:
@@ -148,13 +146,6 @@ def _numbers(value) -> list:
 def _object(value) -> dict:
     if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _histogram(value) -> dict[str, int]:
-    for label, count in _object(value).items():
-        if type(count) is not int or count < 0:
-            raise ValueError(f"count of {label!r} is {count!r}, expected a non-negative integer")
     return value
 
 
@@ -328,24 +319,7 @@ def write_store(
             )
         ],
     }
-    _atomic_write(path, json.dumps(doc, indent=1) + "\n")
-
-
-def _column(path: str | Path, entries: list[dict], key: str, valid, convert) -> list:
-    """Every entry's value for ``key``. ``valid`` checks the whole column at once;
-    when it fails, ``convert`` runs per entry and names the first bad one."""
-    values = [e[key] for e in entries]
-    if valid(values):
-        return values
-    return [_field(path, f"entry {index}", e, key, convert) for index, e in enumerate(entries)]
-
-
-def _all_strings(values) -> bool:
-    return set(map(type, values)) <= {str}
-
-
-def _all_string_lists(values) -> bool:
-    return all(type(v) is list for v in values) and _all_strings(chain.from_iterable(values))
+    write_json(path, doc)
 
 
 def _matrix(path: str | Path, entries: list[dict], key: str, dimension: int) -> np.ndarray:
@@ -434,19 +408,11 @@ def _parse_store(path: str | Path, doc: dict) -> tuple[LabeledClusterSet, dict]:
         for key in _STORE_ENTRY_KEYS:
             if key not in e:
                 raise FormatError(f"{path}: entry {index}: missing key {key!r}")
-    columns = dict(
-        labels=_column(path, entries, "label", _all_strings, _string),
-        member_ids=_column(path, entries, "member_ids", _all_string_lists, _strings),
-        best_silhouette_ids=_column(path, entries, "best_silhouette_id", _all_strings, _string),
-        histograms=[
-            _field(path, f"entry {index}", e, "label_histogram", _histogram) if "label_histogram" in e else {}
-            for index, e in enumerate(entries)
-        ],
-        centroids=_matrix(path, entries, "centroid", dimension),
-        best_silhouette_vectors=_matrix(path, entries, "best_silhouette_vector", dimension),
-    )
-    try:
-        return LabeledClusterSet(**columns), metadata
+    columns = [[e[key] for e in entries] for key in ("label", "member_ids", "best_silhouette_id")]
+    histograms = [e.get("label_histogram", {}) for e in entries]
+    vectors = [_matrix(path, entries, key, dimension) for key in ("centroid", "best_silhouette_vector")]
+    try:  # LabeledClusterSet checks the other values, and names the first bad entry
+        return LabeledClusterSet(*columns, histograms, *vectors), metadata
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -475,21 +441,13 @@ def _load_store_cache(path: str | Path, digest: bytes) -> tuple[LabeledClusterSe
                 return None
             blob = cache["columns"].tobytes()
             centroids, best_vectors = cache["centroids"], cache["best_silhouette_vectors"]
-        if _nesting_depth(blob) > _ORJSON_MAX_DEPTH:
+        # LabeledClusterSet checks the columns' values, but converts matrices of another dtype
+        if _nesting_depth(blob) > _ORJSON_MAX_DEPTH or not centroids.dtype == best_vectors.dtype == np.float64:
             return None
         doc = orjson.loads(blob)
         columns = {key: doc[key] for key in _STORE_CACHE_COLUMNS}
-        metadata = _object(doc["metadata"])
-        # LabeledClusterSet checks the labels and the matrices' values, not these types
-        if not (
-            _all_string_lists(columns["member_ids"])
-            and _all_strings(columns["best_silhouette_ids"])
-            and centroids.dtype == best_vectors.dtype == np.float64
-        ):
-            return None
-        for histogram in columns["histograms"]:
-            _histogram(histogram)
-        return LabeledClusterSet(**columns, centroids=centroids, best_silhouette_vectors=best_vectors), metadata
+        store = LabeledClusterSet(**columns, centroids=centroids, best_silhouette_vectors=best_vectors)
+        return store, _object(doc["metadata"])
     except Exception:  # whatever is wrong with the sidecar, the file itself decides
         return None
 
@@ -530,7 +488,7 @@ def write_clustering(clustering: Clustering, embeddings: Sequence[Embedding], pa
         "silhouette_score": None if clustering.silhouette is None else clustering.silhouette.score,
         "assignments": [[eid, int(c)] for eid, c in zip(EmbeddingSet.of(embeddings).ids, clustering.assignments)],
     }
-    _atomic_write(path, json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc)
 
 
 def read_clustering(path: str | Path) -> tuple[dict[str, int], int]:

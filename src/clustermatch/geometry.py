@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Vector = Sequence[float]
-
 # rows, and edge of the square tiles, that pairwise_distances and mirror_upper handle at a time
 DISTANCE_BLOCK = 256
 
@@ -163,19 +161,15 @@ def as_matrix(embeddings: Iterable[Embedding] | np.ndarray) -> np.ndarray:
     return mat
 
 
-def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def rmse(a: Vector, b: Vector) -> float:
-    """Root mean square difference over the n vector dimensions: the Euclidean
-    distance divided by sqrt(n)."""
+def rmse(a, b):
+    """Root mean square difference along the last axis, over its n dimensions: the
+    Euclidean distance divided by sqrt(n). Given a matrix, each row gets its own."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
-    _check_dims(av, bv)
-    n = av.shape[0]
-    return float(np.sqrt(np.sum((av - bv) ** 2) / n))
+    n = av.shape[-1]
+    if bv.shape[-1] != n:
+        raise ValueError(f"dimension mismatch: {n} vs {bv.shape[-1]}")
+    return np.sqrt(np.sum((av - bv) ** 2, axis=-1) / n)
 
 
 def squared_norms(mat: np.ndarray) -> np.ndarray:

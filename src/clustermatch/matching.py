@@ -26,13 +26,48 @@ DEFAULT_THRESHOLD = 0.5
 RMSE_EPSILON = 1e-12
 
 
+def _string(value) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+
+
+def _strings(value) -> None:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    for item in value:
+        _string(item)
+
+
+def _histogram(value) -> None:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    for label, count in value.items():
+        if not isinstance(label, str):
+            raise TypeError(f"label {label!r} is {type(label).__name__}, expected a string")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"count of {label!r} is {count!r}, expected a non-negative integer")
+        if count >= 2**64:  # a store file's reader takes a larger JSON integer for a float
+            raise ValueError(f"count of {label!r} is {count}, beyond the 64-bit integers a store file holds")
+
+
+def _well_typed(labels, member_ids, best_silhouette_ids, histograms) -> bool:
+    """Whether ``_string``, ``_strings`` and ``_histogram`` pass every value, from one pass over the types."""
+    if not (set(map(type, member_ids)) <= {list, tuple} and set(map(type, histograms)) <= {dict}):
+        return False
+    strings = chain(labels, best_silhouette_ids, *member_ids, *histograms)
+    counts = list(chain.from_iterable(map(dict.values, histograms)))
+    typed = set(map(type, strings)) <= {str} and set(map(type, counts)) <= {int}
+    return typed and 0 <= min(counts, default=0) <= max(counts, default=0) < 2**64
+
+
 class LabeledClusterSet(_FrozenColumns):
     """The reference store of labeled clusters; entry order is fixed and load-bearing.
 
     Entry i is item i of ``labels``, ``member_ids``, ``best_silhouette_ids`` and
     ``histograms``, and row i of the read-only (S, d) float64 matrices
     ``centroids`` and ``best_silhouette_vectors``, which are copied from the
-    matrices given. A store is immutable.
+    matrices given. A store is immutable. Its values are checked here, for stores
+    built and read alike: ValueError names a bad one's entry and store-file key.
     """
 
     def __init__(self, labels, member_ids, best_silhouette_ids, histograms, centroids, best_silhouette_vectors) -> None:
@@ -45,6 +80,18 @@ class LabeledClusterSet(_FrozenColumns):
             raise ValueError("store columns differ in length")
         if best_silhouette_vectors.shape != centroids.shape:
             raise ValueError("cluster embedding dimensions disagree")
+        if not _well_typed(labels, member_ids, best_silhouette_ids, histograms):  # then name the first bad value
+            for key, column, check in (
+                ("label", labels, _string),
+                ("member_ids", member_ids, _strings),
+                ("best_silhouette_id", best_silhouette_ids, _string),
+                ("label_histogram", histograms, _histogram),
+            ):
+                for index, value in enumerate(column):
+                    try:
+                        check(value)
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(f"entry {index}: bad value for {key!r} ({exc})") from None
         for index, label in enumerate(labels):
             if not label:
                 raise ValueError(f"entry {index}: cluster label must be non-empty")
@@ -137,8 +184,8 @@ class MatchDecision:
 def make_cluster_embedding(members) -> np.ndarray:
     """Summarize a cluster as one vector: the mean of its rows (a single row is itself).
 
-    ``recognize`` uses it for the centroid query; the best-silhouette query is
-    the row ``best_silhouette_members`` picks, taken as it is.
+    It gives a store entry's centroid, the centroid query and the one-cluster centre
+    of ``best_silhouette_members``, whose row is the best-silhouette query as it is.
     """
     mat = as_matrix(members)
     if mat.shape[0] == 0:
@@ -156,7 +203,7 @@ def best_silhouette_members(data, clustering: Clustering) -> list[int]:
     """
     mat = as_matrix(data)
     if clustering.num_clusters < 2:
-        return [int(np.argmin(np.linalg.norm(mat - mat.mean(axis=0), axis=1)))]
+        return [int(np.argmin(np.linalg.norm(mat - make_cluster_embedding(mat), axis=1)))]
     report = clustering.silhouette or silhouette(mat, clustering)
     coeffs = np.asarray(report.coefficients)
     assign = np.asarray(clustering.assignments)
@@ -166,9 +213,14 @@ def best_silhouette_members(data, clustering: Clustering) -> list[int]:
     return [int(i) for i in order[firsts]]
 
 
-def similarity(q, c) -> float:
-    """Inverse-RMSE similarity; the RMSE is clamped below by ``RMSE_EPSILON``."""
-    return 1.0 / max(rmse(q, c), RMSE_EPSILON)
+def similarity(q, c):
+    """Inverse-RMSE similarity of each row (along the last axis); the RMSE is clamped below at ``RMSE_EPSILON``."""
+    return 1.0 / np.maximum(rmse(q, c), RMSE_EPSILON)
+
+
+def _top_alpha(s: np.ndarray, alpha: int) -> np.ndarray:
+    """The indices of the alpha largest values of ``s``, largest first; equal values keep index order."""
+    return np.argsort(-s, kind="stable")[:alpha]
 
 
 def truncate_top_alpha(similarities, alpha: int) -> np.ndarray:
@@ -176,11 +228,8 @@ def truncate_top_alpha(similarities, alpha: int) -> np.ndarray:
     s = np.asarray(similarities, dtype=np.float64)
     if s.size == 0:
         raise ValueError("empty similarity vector")
-    if alpha >= s.size:
-        return s.copy()
-    order = np.argsort(-s, kind="stable")  # equal values: earliest index first
     out = np.zeros_like(s)
-    keep = order[:alpha]
+    keep = _top_alpha(s, alpha)
     out[keep] = s[keep]
     return out
 
@@ -219,7 +268,7 @@ def sigma(
     if p.size != len(store):
         raise ValueError(f"probability vector length {p.size} != store size {len(store)}")
     if top_indices is None:
-        top = np.argsort(-p, kind="stable")
+        top = _top_alpha(p, p.size)
         rest = 0.0
     else:
         top = np.asarray(top_indices, dtype=np.intp)
@@ -254,7 +303,7 @@ _SCREEN_FLOOR = 1e-250
 def _screen(queries: np.ndarray, stored: np.ndarray, alpha: int) -> np.ndarray:
     """(K, S) mask of the entries that may be among each query's alpha most similar: never a miss.
 
-    Let D = sum((s - q) ** 2) as ``match_clusters`` computes it (each of the d
+    Let D = sum((q - s) ** 2) as ``similarity`` computes it (each of the d
     terms carries a relative error of about 3u, u = eps / 2, and any summation
     order adds (d - 1)u: |D - ||q - s||^2| <= (d + 2)u ||q - s||^2 <=
     2(d + 2)u (||q||^2 + ||s||^2)). The screen G = ||q||^2 + ||s||^2 - 2 q.s
@@ -313,10 +362,8 @@ def match_clusters(
         block = queries[start : start + step]
         for q, candidates in zip(block, _screen(block, stored, alpha)):
             index = np.flatnonzero(candidates)
-            # row-wise similarity(q, row): the same operations in the same order, so equal bit for bit
-            rmses = np.sqrt(np.sum((stored[index] - q) ** 2, axis=1) / store.dimension)
-            sims = 1.0 / np.maximum(rmses, RMSE_EPSILON)
-            keep = np.argsort(-sims, kind="stable")[:alpha]  # index ascends: equal scores keep the lowest
+            sims = similarity(q, stored[index])
+            keep = _top_alpha(sims, alpha)  # index ascends: equal scores keep the lowest
             top = index[keep]
             truncated = np.zeros(size)
             truncated[top] = sims[keep]

@@ -90,7 +90,7 @@ def build_labeled_store(
         member_ids=member_ids,
         best_silhouette_ids=[faces.ids[r] for r in reps],
         histograms=histograms,
-        centroids=np.stack([mat[members].mean(axis=0) for members in groups]),
+        centroids=np.stack([make_cluster_embedding(mat[members]) for members in groups]),
         best_silhouette_vectors=mat[reps],
     )
 

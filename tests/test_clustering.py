@@ -86,6 +86,23 @@ class TestKMeans:
             for algorithm in ("ward", "kmeans"):
                 assert estimate_clustering(data + offset, algorithm, seed=seed) == estimate_clustering(data, algorithm, seed=seed)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_objective_risen_by_rounding_ends_the_loop(self, seed):
+        # 4 blobs 1e8 apart and 0.0225 wide in d = 1: the expanded squares round by more than
+        # the blobs' own spread, so a step can raise the computed objective, which raised
+        # "objective increased" at some k of every one of these K searches
+        faces = generate_synthetic(SynthConfig(4, 15, 1, blob_stddev=0.0225, separation=1e8, seed=seed)).embeddings
+        found = estimate_clustering(faces, "kmeans", seed=0)
+        identities = [set(np.asarray(faces.true_labels)[members]) for members in found.member_groups()]
+        assert found.num_clusters == 4 and all(len(labels) == 1 for labels in identities)
+
+    def test_objective_risen_beyond_the_rounding_bound_raises(self, monkeypatch):
+        faces = generate_synthetic(SynthConfig(4, 15, 1, blob_stddev=0.0225, separation=1e8, seed=1)).embeddings
+        assert kmeans(faces, 5, seed=0).num_clusters == 5  # a step raises the objective, within the bound
+        monkeypatch.setattr(clustering_module, "_EPS", 0.0)  # no rounding allowed: the same rise is a violation
+        with pytest.raises(RuntimeError, match="objective increased"):
+            kmeans(faces, 5, seed=0)
+
     def test_exactly_k_nonempty_clusters_even_with_duplicates(self):
         data = np.array([[0.0], [0.0], [0.0], [1.0], [9.0]])
         cl = kmeans(data, 4, seed=0)

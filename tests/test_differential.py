@@ -60,7 +60,11 @@ def test_vectorised_similarities_equal_scalar_similarity(harness, method):  # no
     for _, vectors, _ in query_clusters(ds, video):
         decision = match_cluster(vectors, store, MatchConfig(cluster_embedding_method=method))
         q = vectors.mean(axis=0)
-        assert_top_alpha_is_scalar(decision, [similarity(q, row) for row in stored])
+        scalar = [similarity(q, row) for row in stored]
+        assert similarity(q, stored).tolist() == scalar  # row-wise, bit for bit
+        assert similarity(q, stored[5:6]).tolist() == scalar[5:6]
+        assert similarity(q, np.array([q, q + 1.0])).tolist() == [similarity(q, q), similarity(q, q + 1.0)]
+        assert_top_alpha_is_scalar(decision, scalar)
 
 
 def assert_same_match(decision, ref):

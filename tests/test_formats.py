@@ -189,6 +189,50 @@ def two_entries() -> LabeledClusterSet:
     )
 
 
+# ids and labels with a space, a non-ASCII letter and a lone surrogate
+store_text = st.text(alphabet="ab \u00e9\ud800", max_size=3)
+# for each column, values that LabeledClusterSet refuses
+BAD_STORE_VALUES = {
+    "labels": ["", "a\tb", "a\u2028", 5, None],
+    "member_ids": ["ab", [1], ("a", None)],
+    "best_silhouette_ids": [7, None],
+    "histograms": [{"a": -1}, {"a": 2**64}, {"a": True}, {"a": 1.0}, {1: 1}, []],
+    "centroids": [np.nan, np.inf],
+    "best_silhouette_vectors": [-np.inf],
+}
+
+
+@st.composite
+def store_columns(draw) -> tuple[dict, bool]:
+    """The columns of a store of 0-3 entries in d = 1-3, and whether one of their values
+    was replaced by one from ``BAD_STORE_VALUES``."""
+    size, dim = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    matrix = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size * dim, max_size=size * dim)
+    columns = dict(
+        labels=draw(st.lists(store_text.filter(bool), min_size=size, max_size=size)),
+        # a digit no id holds starts every id of entry i, so no id is in two entries
+        member_ids=[
+            draw(st.sampled_from([list, tuple]))(f"{i}{m}" for m in draw(st.lists(store_text, max_size=3, unique=True)))
+            for i in range(size)
+        ],
+        best_silhouette_ids=draw(st.lists(store_text, min_size=size, max_size=size)),
+        histograms=draw(
+            st.lists(st.dictionaries(store_text, st.integers(0, 2**64 - 1), max_size=2), min_size=size, max_size=size)
+        ),
+        centroids=np.array(draw(matrix)).reshape(size, dim),
+        best_silhouette_vectors=np.array(draw(matrix)).reshape(size, dim),
+    )
+    spoiled = size > 0 and draw(st.booleans())
+    if spoiled:
+        key = draw(st.sampled_from(sorted(BAD_STORE_VALUES)))
+        entry, bad = draw(st.integers(0, size - 1)), draw(st.sampled_from(BAD_STORE_VALUES[key]))
+        if isinstance(columns[key], np.ndarray):
+            columns[key][entry, draw(st.integers(0, dim - 1))] = bad
+        else:
+            columns[key][entry] = bad
+    return columns, spoiled
+
+
 class TestStoreFile:
     @pytest.fixture
     def store(self):
@@ -204,6 +248,20 @@ class TestStoreFile:
         path2 = tmp_path / "s2.json"
         write_store(back, path2, metadata=meta)
         assert path.read_bytes() == path2.read_bytes()
+
+    @given(store_columns())
+    def test_every_store_the_set_accepts_round_trips(self, tmp_path_factory, drawn):
+        """What LabeledClusterSet accepts, write_store writes and read_store reads back ==;
+        what it refuses, it refuses with ValueError."""
+        columns, spoiled = drawn
+        if spoiled:
+            with pytest.raises(ValueError):
+                LabeledClusterSet(**columns)
+            return
+        store = LabeledClusterSet(**columns)
+        path = tmp_path_factory.mktemp("round-trip") / "s.json"
+        write_store(store, path)
+        assert read_store(path) == (store, {})
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "s.json"

@@ -305,6 +305,37 @@ class TestLabeledClusterSet:
     def test_empty_store_has_empty_matrices(self):
         assert store_of(np.empty((0, 3))).centroids.shape == (0, 3)
 
+    @pytest.mark.parametrize(
+        "column, value, key, reason",
+        [
+            ("member_ids", "xyz", "member_ids", "expected a list, got str"),
+            ("best_silhouette_ids", 7, "best_silhouette_id", "expected a string, got int"),
+            ("histograms", {"y": -3}, "label_histogram", "count of 'y' is -3, expected a non-negative integer"),
+            ("labels", 5, "label", "expected a string, got int"),
+            ("member_ids", ("b", 2), "member_ids", "expected a string, got int"),
+            ("histograms", {3: 1}, "label_histogram", "label 3 is int, expected a string"),
+            ("histograms", {"y": True}, "label_histogram", "count of 'y' is True, expected a non-negative integer"),
+            ("histograms", {"y": 2**64}, "label_histogram",
+             "count of 'y' is 18446744073709551616, beyond the 64-bit integers a store file holds"),
+        ],
+        ids=["member-ids-string", "integer-best-id", "negative-count", "integer-label", "integer-member-id",
+             "integer-histogram-label", "bool-count", "count-beyond-64-bits"],
+    )
+    def test_bad_value_names_entry_and_key(self, column, value, key, reason):
+        """Values a store file cannot hold, or ``read_store`` would refuse, are refused as they are built."""
+        columns = dict(
+            labels=["x", "y"],
+            member_ids=[("a",), ("b",)],
+            best_silhouette_ids=["a", "b"],
+            histograms=[{"x": 1}, {"y": 1}],
+            centroids=[[0.0], [1.0]],
+            best_silhouette_vectors=[[0.0], [1.0]],
+        )
+        columns[column][1] = value
+        with pytest.raises(ValueError) as raised:
+            LabeledClusterSet(**columns)
+        assert str(raised.value) == f"entry 1: bad value for {key!r} ({reason})"
+
     def test_dimension_checked(self):
         cases = [
             ([[0.0, 1.0]], [[0.0, 1.0, 2.0]], "cluster embedding dimensions disagree"),
