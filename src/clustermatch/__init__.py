@@ -5,7 +5,6 @@ from .clustering import (
     KSearchConfig,
     SilhouetteReport,
     estimate_clustering,
-    kmeans,
     silhouette,
 )
 from .evaluation import (
@@ -68,7 +67,6 @@ __all__ = [
     "estimate_clustering",
     "expand_segments",
     "generate_synthetic",
-    "kmeans",
     "majority_label",
     "make_cluster_embedding",
     "match_cluster",

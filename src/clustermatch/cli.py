@@ -17,13 +17,11 @@ _METHODS = {"centroid": CENTROID, "silhouette": BEST_SILHOUETTE}
 
 
 def _add_clustering_flags(p: argparse.ArgumentParser, fixed_k: bool) -> None:
-    """``--in``, ``--algo``, ``--seed`` and the K search's flags; with ``fixed_k``, ``--k`` and ``--auto-k`` too."""
+    """``--in`` and the K search's flags; with ``fixed_k``, ``--k`` and ``--auto-k`` too."""
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--algo", choices=["kmeans", "ward"], default="ward")
     if fixed_k:
         p.add_argument("--k", type=int)
         p.add_argument("--auto-k", action="store_true", help="pick k by silhouette score")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patience", type=int, help="consecutive non-improvements before the K search stops")
     p.add_argument("--min-silhouette", type=float, help="below this best score, collapse to one cluster")
     p.add_argument("--max-clusters", type=int)
@@ -36,6 +34,8 @@ def _ksearch(args) -> KSearchConfig:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     config = SynthConfig(
         num_identities=args.identities,
         points_per_identity=args.points,
@@ -58,7 +58,7 @@ def cmd_synth(args) -> int:
 def cmd_cluster(args) -> int:
     embeddings = formats.read_embeddings(args.input)
     k = None if args.auto_k else args.k
-    clustering = run_clustering(embeddings, algorithm=args.algo, k=k, ksearch=_ksearch(args), seed=args.seed)
+    clustering = run_clustering(embeddings, k=k, ksearch=_ksearch(args))
     formats.write_clustering(clustering, embeddings, args.out)
     print(f"clustered {len(embeddings)} embeddings into {clustering.num_clusters} clusters")
     return 0
@@ -73,12 +73,10 @@ def cmd_label(args) -> int:
         embeddings = embeddings.select([label not in excluded for label in embeddings.true_labels])
     k = None if args.auto_k else args.k
     ksearch = _ksearch(args)
-    store = build_labeled_store(embeddings, algorithm=args.algo, k=k, ksearch=ksearch, seed=args.seed)
+    store = build_labeled_store(embeddings, k=k, ksearch=ksearch)
     metadata = {
-        "algorithm": args.algo,
         "k": k,
         "auto_k": args.auto_k,
-        "seed": args.seed,
         "patience": ksearch.patience,
         "min_silhouette": ksearch.min_silhouette,
     }
@@ -95,14 +93,7 @@ def cmd_match(args) -> int:
         probability_threshold=args.threshold,
         cluster_embedding_method=_METHODS[args.embedding_method],
     )
-    result = recognize(
-        embeddings,
-        store,
-        match_config=config,
-        ksearch=_ksearch(args),
-        algorithm=args.algo,
-        seed=args.seed,
-    )
+    result = recognize(embeddings, store, match_config=config, ksearch=_ksearch(args))
     formats.write_face_labels(result.face_labels, args.out)
     if args.report:
         report = {
@@ -249,10 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
     # the subcommand's own parser, so that a usage error shows that subcommand's usage
     (commands,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
     usage_error = commands.choices[args.command].error
+    if unknown:
+        usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command == "evaluate":
         if args.mode == "vmeasure" and not (args.input and args.clustering):
             usage_error("--mode vmeasure requires --in and --clustering")
@@ -261,8 +254,6 @@ def main(argv=None) -> int:
     if args.command in ("cluster", "label") and not args.auto_k and args.k is None:
         usage_error("either --k or --auto-k is required")
     try:
-        if getattr(args, "seed", 0) < 0:  # before any file is read
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, formats.FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

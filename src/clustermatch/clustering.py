@@ -1,10 +1,9 @@
-"""Clustering algorithms, silhouette scoring, and the unknown-K search strategy.
+"""Ward clustering, silhouette scoring, and the unknown-K search strategy.
 
-Two candidate algorithms are provided: k-means and agglomerative clustering
-with the Ward criterion. When the number of clusters
-is unknown, ``estimate_clustering`` sweeps k upward, keeping the configuration
-with the best silhouette score, and falls back to a single cluster when even
-the best score indicates overlap.
+Points are clustered agglomeratively with the Ward criterion. When the number of
+clusters is unknown, ``estimate_clustering`` sweeps k upward down one Ward tree,
+keeping the cut with the best silhouette score, and falls back to a single
+cluster when even the best score indicates overlap.
 """
 from __future__ import annotations
 
@@ -83,98 +82,6 @@ def _relabel(labels: np.ndarray) -> tuple[tuple[int, ...], int]:
     rank = np.empty(len(first), dtype=np.intp)
     rank[np.argsort(first)] = np.arange(len(first))
     return tuple(rank[inverse].tolist()), len(first)
-
-
-# ---------------------------------------------------------------------------
-# k-means
-
-
-def _kmeans_pp_init(mat: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = mat.shape[0]
-    centers = np.empty((k, mat.shape[1]))
-    centers[0] = mat[rng.integers(n)]
-    d2 = np.sum((mat - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[j] = mat[idx]
-        d2 = np.minimum(d2, np.sum((mat - centers[j]) ** 2, axis=1))
-    return centers
-
-
-_KMEANS_MAX_ITER = 300
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def kmeans(data, k: int, seed: int = 0) -> Clustering:
-    """Lloyd's algorithm with k-means++ seeding, for at most 300 iterations.
-
-    Always returns exactly k non-empty clusters: an emptied cluster is reseeded
-    with the point farthest from its current centroid. The within-cluster
-    sum-of-squares objective is checked to be non-increasing every iteration.
-    The data are centred first: the expanded squared distances below round in
-    proportion to ||x||^2, so data far from the origin would otherwise cluster
-    differently from the same data shifted back.
-
-    A step can raise the computed objective by rounding alone. With B(a, c) =
-    4(d + 4)·eps·sum_i(||x_i||^2 + ||c_{a_i}||^2), which bounds the rounding of the
-    objective of assignment a to centres c (as in ``matching._screen``), a step that
-    moves a's centres c0 to a's means c and then reassigns raises it by at most
-    B(a, c0) + B(a, c). Such a rise ends the loop with assignment a; a larger one raises.
-    """
-    mat = as_matrix(data)
-    mat = mat - mat.mean(axis=0)
-    n, d = mat.shape
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"k={k} exceeds number of points n={n}")
-    centers = _kmeans_pp_init(mat, k, np.random.default_rng(seed))
-
-    prev_obj = np.inf
-    assign = np.zeros(n, dtype=int)
-    sq = np.sum(mat**2, axis=1)
-    for _ in range(_KMEANS_MAX_ITER):
-        center_sq = np.sum(centers**2, axis=1)
-        d2 = sq[:, None] - 2.0 * (mat @ centers.T) + center_sq[None, :]
-        new_assign = np.argmin(d2, axis=1)
-
-        # repair empty clusters with the globally farthest point
-        counts = np.bincount(new_assign, minlength=k)
-        while np.any(counts == 0):
-            empty = int(np.argmin(counts))
-            nearest_d2 = d2[np.arange(n), new_assign]
-            # only points in clusters with >1 member are eligible to move
-            eligible = counts[new_assign] > 1
-            nearest_d2 = np.where(eligible, nearest_d2, -np.inf)
-            far = int(np.argmax(nearest_d2))
-            counts[new_assign[far]] -= 1
-            new_assign[far] = empty
-            counts[empty] += 1
-            centers[empty] = mat[far]
-            d2[:, empty] = np.sum((mat - centers[empty]) ** 2, axis=1)
-
-        obj = float(np.sum(d2[np.arange(n), new_assign].clip(min=0.0)))
-        if obj > prev_obj * (1 + 1e-12) + 1e-12:
-            if obj - prev_obj > 4 * (d + 4) * _EPS * np.sum(2 * sq + prev_center_sq[assign] + center_sq[assign]):
-                raise RuntimeError("k-means objective increased; internal invariant violated")
-            break  # by rounding: keep the assignment from before the rise
-        converged_now = np.array_equal(new_assign, assign) and prev_obj < np.inf
-        assign = new_assign
-        prev_obj = obj
-        prev_center_sq = np.sum(centers**2, axis=1)  # after the repair: the centres obj was computed against
-        for j in range(k):
-            members = mat[assign == j]
-            centers[j] = members.mean(axis=0)
-        if converged_now:
-            break
-
-    labels, m = _relabel(assign)
-    assert m == k
-    return Clustering(assignments=labels, num_clusters=k)
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +372,11 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-# float64 values in the n x n arrays each algorithm holds at its peak: the distances,
-# which Ward turns into its cost matrix while it keeps their upper triangle aside
-_PEAK_FLOATS = {
-    "ward": lambda n: n * n + n * (n - 1) // 2,
-    "kmeans": lambda n: n * n,
-}
-
-
-def _check_memory(n: int, algorithm: str) -> None:
-    """Raise ValueError when the n x n arrays ``algorithm`` holds at its peak exceed physical memory."""
-    needed, available = _PEAK_FLOATS[algorithm](n) * 8, _physical_memory()
+def _check_memory(n: int) -> None:
+    """Raise ValueError when the float64 n x n arrays Ward holds at its peak exceed physical
+    memory: the distances, which Ward turns into its cost matrix while it keeps their upper
+    triangle aside."""
+    needed, available = (n * n + n * (n - 1) // 2) * 8, _physical_memory()
     if needed > available:
         raise ValueError(
             f"clustering n={n} points needs {needed / 2**30:.1f} GiB for its n x n matrices, "
@@ -483,11 +384,11 @@ def _check_memory(n: int, algorithm: str) -> None:
         )
 
 
-def checked_distances(data, algorithm: str) -> np.ndarray:
+def checked_distances(data) -> np.ndarray:
     """``pairwise_distances`` of the data, after checking that the float64 n x n
-    arrays ``algorithm`` holds at its peak fit in physical memory."""
+    arrays Ward holds at its peak fit in physical memory."""
     mat = as_matrix(data)
-    _check_memory(mat.shape[0], algorithm)
+    _check_memory(mat.shape[0])
     return pairwise_distances(mat)
 
 
@@ -537,53 +438,32 @@ def _ward_sweep(tree: WardTree, dist: np.ndarray, kmax: int):
         yield k, float(s.mean()), s
 
 
-def _kmeans_candidates(mat: np.ndarray, dist: np.ndarray, kmax: int, seed: int):
-    """Yield (k, score, clustering) for k = 2..kmax: k-means at each k, carrying
-    its silhouette report, and that report's score."""
-    for k in range(2, kmax + 1):
-        clustering = kmeans(mat, k, seed=seed)
-        report = silhouette(mat, clustering, dist=dist)
-        yield k, report.score, replace(clustering, silhouette=report)
-
-
-def estimate_clustering(
-    data,
-    algorithm: str = "ward",
-    config: KSearchConfig = KSearchConfig(),
-    seed: int = 0,
-) -> Clustering:
+def estimate_clustering(data, config: KSearchConfig = KSearchConfig()) -> Clustering:
     """Pick the number of clusters by silhouette score.
 
     Starting from k = 2, k is increased by 1 until the running-maximum
     silhouette score fails to improve ``patience`` times in a row or k reaches
     the number of points. If even the best score is below ``min_silhouette``
     (overlapping clusters), all points are placed in a single cluster.
-    The chosen clustering keeps its silhouette report.
 
-    k-means clusters and scores every k. Ward scores every k in one sweep down
-    its tree, whose scores are exact ``silhouette`` scores; the winner's report
-    is the one the sweep computed, and its tree is cut once.
+    Every k is scored in one sweep down the data's Ward tree, whose scores are
+    exact ``silhouette`` scores. The tree is cut once, at the chosen k, and that
+    clustering keeps the silhouette report the sweep computed for it.
     """
     mat = as_matrix(data)
     n = mat.shape[0]
     if n == 1:
         return _single_cluster(1)
-    if algorithm not in ("ward", "kmeans"):
-        raise ValueError(f"unsupported algorithm for K search: {algorithm!r}")
 
     kmax = n if config.max_clusters is None else min(config.max_clusters, n)
-    dist = checked_distances(mat, algorithm)
-    if algorithm == "ward":
-        tree = ward_tree(mat, dist=dist)
-        candidates = _ward_sweep(tree, dist, kmax)
-    else:
-        candidates = _kmeans_candidates(mat, dist, kmax, seed)
+    dist = checked_distances(mat)
+    tree = ward_tree(mat, dist=dist)
 
     best_k, best_score, kept = None, -np.inf, None
     misses = 0
-    for k, score, result in candidates:
+    for k, score, coefficients in _ward_sweep(tree, dist, kmax):
         if score > best_score:
-            best_k, best_score, kept = k, score, result
+            best_k, best_score, kept = k, score, coefficients
             misses = 0
         else:
             misses += 1
@@ -592,4 +472,4 @@ def estimate_clustering(
 
     if best_k is None or best_score < config.min_silhouette:
         return _single_cluster(n)
-    return kept if algorithm == "kmeans" else replace(tree.cut(best_k), silhouette=_report(kept))
+    return replace(tree.cut(best_k), silhouette=_report(kept))

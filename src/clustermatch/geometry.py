@@ -172,6 +172,16 @@ def rmse(a, b):
     return np.sqrt(np.sum((av - bv) ** 2, axis=-1) / n)
 
 
+def row_mean(mat: np.ndarray) -> np.ndarray:
+    """The mean of the rows, ``mat.mean(axis=0)``; a column whose sum overflows float64
+    is averaged term by term instead, so finite rows always have a finite mean."""
+    with np.errstate(over="ignore"):
+        mean = mat.mean(axis=0)
+    if not np.isfinite(mean).all():
+        mean = (mat / mat.shape[0]).sum(axis=0)
+    return mean
+
+
 def squared_norms(mat: np.ndarray) -> np.ndarray:
     """Each row's squared norm, for squared distances taken as (sq_i + sq_j) - 2 * gram_ij.
 
@@ -214,8 +224,9 @@ def pairwise_distances(data: np.ndarray) -> np.ndarray:
     mat = np.ascontiguousarray(as_matrix(data))
     # centred, since the expanded squares below round in proportion to ||x||^2; on the
     # C copy, so the mean's sum order is the same for every layout; by a rounded mean,
-    # so integer data keep exact differences
-    mat = mat - np.round(mat.mean(axis=0))
+    # so integer data keep exact differences; a centred value beyond float64 is refused below
+    with np.errstate(over="ignore"):
+        mat = mat - np.round(row_mean(mat))
     sq = squared_norms(mat)
     d = mat @ mat.T
     n = d.shape[0]

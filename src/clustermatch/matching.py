@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .clustering import Clustering, silhouette
-from .geometry import _freeze, _FrozenColumns, as_matrix, rmse
+from .geometry import _freeze, _FrozenColumns, as_matrix, rmse, row_mean
 
 CENTROID = "centroid"
 BEST_SILHOUETTE = "best_silhouette_sample"
@@ -98,6 +98,16 @@ class LabeledClusterSet(_FrozenColumns):
             # a label is one field of a labels.tsv line, which read_face_labels splits with str.splitlines
             if "\t" in label or label.splitlines() != [label]:
                 raise ValueError(f"entry {index}: cluster label {label!r} holds a tab or a line break")
+        for index, (ids, best, histogram) in enumerate(zip(member_ids, best_silhouette_ids, histograms)):
+            if not ids:
+                raise ValueError(f"entry {index}: 'member_ids' is empty")
+            if best not in ids:
+                raise ValueError(f"entry {index}: 'best_silhouette_id' {best!r} is not one of its 'member_ids'")
+            if sum(histogram.values()) != len(ids):
+                raise ValueError(
+                    f"entry {index}: 'label_histogram' counts sum to {sum(histogram.values())}, "
+                    f"not to its {len(ids)} 'member_ids'"
+                )
         all_ids = list(chain.from_iterable(member_ids))
         if len(set(all_ids)) != len(all_ids):
             owner: dict[str, int] = {}
@@ -190,7 +200,7 @@ def make_cluster_embedding(members) -> np.ndarray:
     mat = as_matrix(members)
     if mat.shape[0] == 0:
         raise ValueError("cannot embed an empty cluster")
-    return mat.mean(axis=0)
+    return row_mean(mat)
 
 
 def best_silhouette_members(data, clustering: Clustering) -> list[int]:

@@ -12,7 +12,6 @@ from .clustering import (
     KSearchConfig,
     checked_distances,
     estimate_clustering,
-    kmeans,
     silhouette,
     ward_tree,
 )
@@ -34,36 +33,24 @@ NON_REGISTERED = "non-registered"
 _representatives = best_silhouette_members
 
 
-def run_clustering(
-    embeddings,
-    algorithm: str = "ward",
-    k: int | None = None,
-    ksearch: KSearchConfig = KSearchConfig(),
-    seed: int = 0,
-) -> Clustering:
-    """Cluster an embedding set with a fixed k, or search for k when k is None;
+def run_clustering(embeddings, k: int | None = None, ksearch: KSearchConfig = KSearchConfig()) -> Clustering:
+    """Cluster an embedding set by Ward with a fixed k, or search for k when k is None;
     a clustering of two or more clusters comes back with its silhouette report."""
     mat = as_matrix(embeddings)
     if k is None:
-        return estimate_clustering(mat, algorithm=algorithm, config=ksearch, seed=seed)
-    if algorithm not in ("ward", "kmeans"):
-        raise ValueError(f"unknown clustering algorithm {algorithm!r}")
+        return estimate_clustering(mat, config=ksearch)
     n = mat.shape[0]
     if not 1 <= k <= n:  # before the n x n matrix is built
         raise ValueError(f"k={k} out of range [1, {n}]")
-    dist = checked_distances(mat, algorithm)
-    clustering = ward_tree(mat, dist=dist).cut(k) if algorithm == "ward" else kmeans(mat, k, seed=seed)
+    dist = checked_distances(mat)
+    clustering = ward_tree(mat, dist=dist).cut(k)
     if clustering.num_clusters < 2:
         return clustering
     return replace(clustering, silhouette=silhouette(mat, clustering, dist=dist))
 
 
 def build_labeled_store(
-    embeddings,
-    algorithm: str = "ward",
-    k: int | None = None,
-    ksearch: KSearchConfig = KSearchConfig(),
-    seed: int = 0,
+    embeddings, k: int | None = None, ksearch: KSearchConfig = KSearchConfig()
 ) -> LabeledClusterSet:
     """Cluster the embeddings and label every cluster by majority vote of its
     members' true_label fields. Both cluster-embedding variants are precomputed
@@ -71,7 +58,7 @@ def build_labeled_store(
     """
     faces = EmbeddingSet.of(embeddings)
     mat = as_matrix(faces)
-    clustering = run_clustering(mat, algorithm=algorithm, k=k, ksearch=ksearch, seed=seed)
+    clustering = run_clustering(mat, k=k, ksearch=ksearch)
     groups = clustering.member_groups()
     reps = _representatives(mat, clustering)
 
@@ -117,8 +104,6 @@ def recognize(
     store: LabeledClusterSet,
     match_config: MatchConfig = MatchConfig(),
     ksearch: KSearchConfig = KSearchConfig(),
-    algorithm: str = "ward",
-    seed: int = 0,
 ) -> RecognitionResult:
     """Cluster a video's faces (K unknown), match each cluster against the store,
     and propagate every cluster's decision to its member faces."""
@@ -127,7 +112,7 @@ def recognize(
     if mat.shape[1] != store.dimension:
         raise ValueError(f"video dimension {mat.shape[1]} != store dimension {store.dimension}")
 
-    clustering = run_clustering(mat, algorithm=algorithm, ksearch=ksearch, seed=seed)
+    clustering = run_clustering(mat, ksearch=ksearch)
     groups = clustering.member_groups()
     # with one cluster the silhouette is undefined and the query falls back to its centroid
     if match_config.cluster_embedding_method == BEST_SILHOUETTE and clustering.num_clusters >= 2:

@@ -46,7 +46,7 @@ def harness():
             fraction_nonregistered=1 / 6,
         )
     )
-    store = build_labeled_store(ds.registered(), algorithm="ward", k=None)
+    store = build_labeled_store(ds.registered(), k=None)
     video = sample_more(ds, 30, seed=99, video_id="query")
     return ds, store, video
 
@@ -91,7 +91,7 @@ def scaled_store(ds, scale: float) -> LabeledClusterSet:
         dataclasses.replace(e, vector=tuple(scale * x for x in e.vector))
         for e in ds.registered()
     ]
-    return build_labeled_store(shrunk, algorithm="ward", k=None)
+    return build_labeled_store(shrunk, k=None)
 
 
 class TestAcceptance:
@@ -154,7 +154,7 @@ class TestAcceptance:
                 ds = generate_synthetic(
                     SynthConfig(true_k, 10, 32, blob_stddev=1.0, separation=10.0, seed=seed)
                 )
-                cl = estimate_clustering(as_matrix(ds.embeddings), "ward")
+                cl = estimate_clustering(as_matrix(ds.embeddings))
                 total += 1
                 hits += cl.num_clusters == true_k
         elapsed = time.perf_counter() - t0
@@ -265,11 +265,11 @@ class TestAcceptance:
             ]
             assert cli_main(args) == 0
             assert cli_main([
-                "label", "--in", str(emb), "--auto-k", "--seed", "3",
+                "label", "--in", str(emb), "--auto-k",
                 "--exclude-labels-file", str(sidecar), "--out", str(built),
             ]) == 0
             assert cli_main([
-                "match", "--in", str(emb), "--store", str(built), "--seed", "3", "--out", str(labels),
+                "match", "--in", str(emb), "--store", str(built), "--out", str(labels),
             ]) == 0
             return emb.read_bytes() + built.read_bytes() + labels.read_bytes()
 

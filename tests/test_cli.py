@@ -1,9 +1,9 @@
-import argparse
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,9 +15,8 @@ from clustermatch.clustering import WardTree
 from clustermatch.clustering import KSearchConfig
 from clustermatch.cli import _ksearch, build_parser
 from clustermatch.formats import read_embeddings, read_face_labels, read_store, write_embeddings, write_store
-from clustermatch.geometry import Embedding, EmbeddingSet
+from clustermatch.geometry import Embedding
 from clustermatch.matching import MatchConfig
-from clustermatch.synth import SynthConfig, generate_synthetic
 from clustermatch.timeline import DEFAULT_FPS
 
 SYNTH = [
@@ -103,28 +102,6 @@ class TestClusterAndEvaluate:
         assert code == 0
         scores = json.loads(report.read_text())
         assert scores["v_measure"] == pytest.approx(1.0)
-
-    def test_kmeans_fixed_k(self, tmp_path):
-        emb = tmp_path / "train.emb"
-        run(SYNTH + ["--out", emb])
-        clustering = tmp_path / "cl.json"
-        assert run(["cluster", "--in", emb, "--algo", "kmeans", "--k", "5", "--out", clustering]) == 0
-        assert json.loads(clustering.read_text())["num_clusters"] == 5
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["cluster", "--k", "6"], ["cluster", "--auto-k"], ["label", "--k", "6"]],
-        ids=["cluster-k6", "cluster-auto-k", "label-k6"],
-    )
-    def test_kmeans_far_from_the_origin(self, tmp_path, argv):
-        # every component shifted by 1e7: uncentred k-means raised "objective increased" here
-        faces = generate_synthetic(SynthConfig(6, 30, 16, blob_stddev=0.3, seed=1)).embeddings
-        far = EmbeddingSet(faces.ids, faces.vectors + 1e7, faces.video_ids, faces.frame_indices, faces.true_labels)
-        emb = tmp_path / "far.emb"
-        write_embeddings(far, emb)
-        out = tmp_path / "out.json"
-        assert run([*argv, "--algo", "kmeans", "--in", emb, "--out", out]) == 0
-        assert out.exists()
 
 
 class TestFullPipeline:
@@ -234,12 +211,12 @@ class TestFullPipeline:
         labels = read_store(store)[0].labels
         assert "John Smith" not in labels and "Smith" in labels
 
-    def test_same_seed_runs_are_byte_identical(self, world, tmp_path):
+    def test_repeated_runs_are_byte_identical(self, world, tmp_path):
         emb, _, store = world
         a = tmp_path / "a.tsv"
         b = tmp_path / "b.tsv"
-        run(["match", "--in", emb, "--store", store, "--seed", "7", "--out", a])
-        run(["match", "--in", emb, "--store", store, "--seed", "7", "--out", b])
+        run(["match", "--in", emb, "--store", store, "--out", a])
+        run(["match", "--in", emb, "--store", store, "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -261,10 +238,8 @@ class TestErrorHandling:
             ["cluster", "--in", "x.emb", "--k", "nan", "--out", "o"],
             ["evaluate", "--mode", "vmeasure"],
             ["evaluate", "--mode", "video"],
-            ["cluster", "--in", "x.emb", "--algo", "kmeans", "--out", "o"],
         ],
-        ids=["cluster-without-k", "label-without-k", "k-nan", "vmeasure-without-files", "video-without-files",
-             "kmeans-without-k"],
+        ids=["cluster-without-k", "label-without-k", "k-nan", "vmeasure-without-files", "video-without-files"],
     )
     def test_usage_error_shows_the_subcommand_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as exited:
@@ -274,34 +249,32 @@ class TestErrorHandling:
         assert err.startswith(f"usage: clustermatch {argv[0]} ")
         assert f"\nclustermatch {argv[0]}: error: " in err
 
-    def test_affinity_propagation_is_no_choice(self, tmp_path, capsys):
-        out = tmp_path / "cl.json"
-        with pytest.raises(SystemExit) as exited:
-            run(["cluster", "--in", tmp_path / "x.emb", "--algo", "ap", "--auto-k", "--out", out])
-        assert exited.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: clustermatch cluster ")
-        assert "\nclustermatch cluster: error: argument --algo: invalid choice: 'ap'" in err
-        assert not out.exists()
-        (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        (algo,) = (a for a in commands.choices["cluster"]._actions if a.dest == "algo")
-        assert algo.choices == ["kmeans", "ward"]
-
+    @pytest.mark.parametrize("flag", [["--algo", "ward"], ["--seed", "3"]], ids=["algo", "seed"])
     @pytest.mark.parametrize(
         "argv",
         [
-            ["synth", "--identities", "5", "--points", "10", "--dim", "32"],
-            *([command, "--in", "{emb}", "--algo", algo, "--k", "2"] for command in ("cluster", "label") for algo in ("ward", "kmeans")),
-            *(["match", "--in", "{emb}", "--store", "{store}", "--algo", algo] for algo in ("ward", "kmeans")),
+            ["cluster", "--in", "{emb}", "--auto-k"],
+            ["label", "--in", "{emb}", "--auto-k"],
+            ["match", "--in", "{emb}", "--store", "{store}"],
         ],
-        ids=["synth", "cluster-ward", "cluster-kmeans", "label-ward", "label-kmeans", "match-ward", "match-kmeans"],
+        ids=["cluster", "label", "match"],
     )
-    def test_negative_seed(self, emb, tmp_path, capsys, argv):
+    def test_algo_and_seed_are_no_clustering_flags(self, emb, tmp_path, capsys, argv, flag):
+        """Ward is the only clusterer and is deterministic, so these subcommands take neither flag."""
         store, out = tmp_path / "store.json", tmp_path / "out"
         assert run(["label", "--in", emb, "--k", "5", "--out", store]) == 0
         capsys.readouterr()
-        argv = [a.format(emb=emb, store=store) for a in argv]
-        assert run([*argv, "--seed", "-1", "--out", out]) == 1
+        with pytest.raises(SystemExit) as exited:
+            run([*(a.format(emb=emb, store=store) for a in argv), *flag, "--out", out])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: clustermatch {argv[0]} ")
+        assert err.endswith(f"\nclustermatch {argv[0]}: error: unrecognized arguments: {' '.join(flag)}\n")
+        assert not out.exists()
+
+    def test_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["synth", "--identities", "5", "--points", "10", "--dim", "32", "--seed", "-1", "--out", out]) == 1
         assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not out.exists()
 
@@ -432,15 +405,14 @@ class TestErrorHandling:
         self.assert_one_error_line(capsys, "store.json", "entry 1", repr(bad))
         assert not labels.exists()
 
-    @pytest.mark.parametrize("algo", ["ward", "kmeans"])
     @pytest.mark.parametrize("k", [0, 51])
-    def test_k_out_of_range_before_the_distance_matrix(self, emb, tmp_path, capsys, monkeypatch, algo, k):
+    def test_k_out_of_range_before_the_distance_matrix(self, emb, tmp_path, capsys, monkeypatch, k):
         def refuse(data):
             raise AssertionError("the distance matrix was built")
 
         monkeypatch.setattr(clustering_module, "pairwise_distances", refuse)
         capsys.readouterr()
-        assert run(["cluster", "--in", emb, "--algo", algo, "--k", k, "--out", tmp_path / "cl.json"]) == 1
+        assert run(["cluster", "--in", emb, "--k", k, "--out", tmp_path / "cl.json"]) == 1
         self.assert_one_error_line(capsys, f"error: k={k} out of range [1, 50]")
 
     def test_store_top_level_list(self, emb, tmp_path, capsys):
@@ -572,19 +544,14 @@ class TestErrorHandling:
         self.assert_one_error_line(capsys, "n=50", "GiB")
         assert not (tmp_path / "cl.json").exists()
 
-    @pytest.mark.parametrize("algo", ["ward", "kmeans"])
-    def test_fixed_k_run_too_large_for_memory(self, emb, tmp_path, capsys, monkeypatch, algo):
+    def test_fixed_k_run_too_large_for_memory(self, emb, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 1 << 10)
         capsys.readouterr()
-        assert run(["cluster", "--in", emb, "--algo", algo, "--k", "2", "--out", tmp_path / "cl.json"]) == 1
+        assert run(["cluster", "--in", emb, "--k", "2", "--out", tmp_path / "cl.json"]) == 1
         self.assert_one_error_line(capsys, "n=50", "GiB")
         assert not (tmp_path / "cl.json").exists()
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--auto-k"], ["--k", "2"], ["--algo", "kmeans", "--auto-k"], ["--algo", "kmeans", "--k", "2"]],
-        ids=["auto-k", "k2", "kmeans-auto-k", "kmeans-k2"],
-    )
+    @pytest.mark.parametrize("flags", [["--auto-k"], ["--k", "2"]], ids=["auto-k", "k2"])
     def test_overflowing_distances(self, tmp_path, capsys, flags):
         emb = tmp_path / "far.emb"
         rows = ["1e200,0", "-1e200,3", "1e200,1", "-1e200,4"]
@@ -593,6 +560,20 @@ class TestErrorHandling:
         assert run(["cluster", "--in", emb, *flags, "--out", tmp_path / "cl.json"]) == 1
         self.assert_one_error_line(capsys, "1e+200", "overflow")
         assert not (tmp_path / "cl.json").exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "label"])
+    def test_column_sum_beyond_float64(self, tmp_path, capsys, command):
+        # two faces at (0, 1e308): their column sum overflows, but their mean, their
+        # distance and their centroid do not
+        emb, out = tmp_path / "far.emb", tmp_path / "out.json"
+        emb.write_text("#emb v1 dim=2\nf0\tv\t0\tx\t0,1e308\nf1\tv\t1\tx\t0,1e308\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--in", emb, "--auto-k", "--out", out]) == 0
+        assert not capsys.readouterr().err
+        if command == "label":
+            assert read_store(out)[0].centroids.tolist() == [[0.0, 1e308]]
 
 
 class TestOneDistanceMatrixPerRun:
@@ -652,12 +633,11 @@ def _edge_cases():
     for flag in ["--identities", "--points", "--dim", "--stddev", "--separation", "--seed", "--fraction-nonregistered"]:
         yield "synth", EDGE_WORLD + ["--out", "{out}"], flag
     for command in ("cluster", "label"):
-        for algo in ("ward", "kmeans"):
-            base = [command, "--in", "{emb}", "--algo", algo, "--out", "{out}"]
-            yield f"{command} {algo}", base + ["--k", "2"], "--k"
-            for flag in ["--seed", *KSEARCH_FLAGS]:
-                yield f"{command} {algo}", base + ["--auto-k"], flag
-    for flag in ["--alpha", "--threshold", "--seed", *KSEARCH_FLAGS]:
+        base = [command, "--in", "{emb}", "--out", "{out}"]
+        yield command, base + ["--k", "2"], "--k"
+        for flag in KSEARCH_FLAGS:
+            yield command, base + ["--auto-k"], flag
+    for flag in ["--alpha", "--threshold", *KSEARCH_FLAGS]:
         yield "match", ["match", "--in", "{emb}", "--store", "{store}", "--out", "{out}"], flag
     evaluate = ["evaluate", "--mode", "vmeasure", "--in", "{emb}", "--clustering", "{clustering}", "--out", "{out}"]
     yield "evaluate", evaluate, "--beta"

@@ -8,12 +8,10 @@ from clustermatch.clustering import (
     Clustering,
     KSearchConfig,
     estimate_clustering,
-    kmeans,
     silhouette,
     ward_tree,
 )
 from clustermatch.geometry import DISTANCE_BLOCK, pairwise_distances
-from clustermatch.pipeline import run_clustering
 from clustermatch.synth import SynthConfig, generate_synthetic
 
 from .oracles import brute_silhouette, ward_merge_cost, wcss
@@ -31,82 +29,6 @@ class TestClusteringType:
     def test_members(self):
         cl = Clustering(assignments=(0, 1, 0), num_clusters=2)
         assert [members.tolist() for members in cl.member_groups()] == [[0, 2], [1]]
-
-
-class TestKMeans:
-    def test_well_separated_pairs(self):
-        data = np.array([[0.0, 0], [0, 1], [10, 10], [10, 11]])
-        cl = kmeans(data, 2, seed=0)
-        assert partition_sets(cl) == {frozenset({0, 1}), frozenset({2, 3})}
-
-    def test_degenerate_k_equals_n(self):
-        data = np.array([[0.0], [5.0], [9.0]])
-        cl = kmeans(data, 3, seed=0)
-        assert cl.num_clusters == 3
-        assert all(len(members) == 1 for members in cl.member_groups())
-
-    def test_recovers_gaussian_blobs(self):
-        rng = np.random.default_rng(0)
-        centers = np.array([[0.0, 0], [20, 0], [0, 20]])
-        data = np.vstack([c + rng.normal(0, 1.0, size=(10, 2)) for c in centers])
-        truth = [i // 10 for i in range(30)]
-        cl = kmeans(data, 3, seed=1)
-        # blob-exact: every blob lands in one cluster
-        for blob in range(3):
-            assigned = {cl.assignments[i] for i in range(30) if truth[i] == blob}
-            assert len(assigned) == 1
-
-    def test_k_out_of_range(self):
-        data = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            kmeans(data, 4)
-        with pytest.raises(ValueError):
-            kmeans(data, 0)
-
-    def test_deterministic_per_seed(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=(40, 3))
-        a = kmeans(data, 5, seed=123)
-        b = kmeans(data, 5, seed=123)
-        assert a.assignments == b.assignments
-
-    @pytest.mark.parametrize("offset", [1e6, 1e7, 1e9])
-    def test_shift_changes_no_assignment(self, offset):
-        # 6 blobs of 30 faces, d = 16, sigma = 0.3: on uncentred data the expanded squared
-        # distances round with ||x||^2, and 45 of these 120 runs raised "objective increased"
-        for seed in range(40):
-            data = generate_synthetic(SynthConfig(6, 30, 16, blob_stddev=0.3, seed=seed)).embeddings.vectors
-            assert kmeans(data + offset, 6, seed=seed) == kmeans(data, 6, seed=seed)
-
-    @pytest.mark.parametrize("offset", [1e6, 1e7, 1e8, 1e9])
-    def test_shift_changes_neither_k_nor_assignments_of_the_k_search(self, offset):
-        # both K searches read pairwise_distances, which round with ||x||^2 unless centred
-        for seed in range(10):
-            data = generate_synthetic(SynthConfig(6, 30, 16, blob_stddev=0.3, seed=seed)).embeddings.vectors
-            for algorithm in ("ward", "kmeans"):
-                assert estimate_clustering(data + offset, algorithm, seed=seed) == estimate_clustering(data, algorithm, seed=seed)
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_objective_risen_by_rounding_ends_the_loop(self, seed):
-        # 4 blobs 1e8 apart and 0.0225 wide in d = 1: the expanded squares round by more than
-        # the blobs' own spread, so a step can raise the computed objective, which raised
-        # "objective increased" at some k of every one of these K searches
-        faces = generate_synthetic(SynthConfig(4, 15, 1, blob_stddev=0.0225, separation=1e8, seed=seed)).embeddings
-        found = estimate_clustering(faces, "kmeans", seed=0)
-        identities = [set(np.asarray(faces.true_labels)[members]) for members in found.member_groups()]
-        assert found.num_clusters == 4 and all(len(labels) == 1 for labels in identities)
-
-    def test_objective_risen_beyond_the_rounding_bound_raises(self, monkeypatch):
-        faces = generate_synthetic(SynthConfig(4, 15, 1, blob_stddev=0.0225, separation=1e8, seed=1)).embeddings
-        assert kmeans(faces, 5, seed=0).num_clusters == 5  # a step raises the objective, within the bound
-        monkeypatch.setattr(clustering_module, "_EPS", 0.0)  # no rounding allowed: the same rise is a violation
-        with pytest.raises(RuntimeError, match="objective increased"):
-            kmeans(faces, 5, seed=0)
-
-    def test_exactly_k_nonempty_clusters_even_with_duplicates(self):
-        data = np.array([[0.0], [0.0], [0.0], [1.0], [9.0]])
-        cl = kmeans(data, 4, seed=0)
-        assert cl.num_clusters == 4
 
 
 class TestWard:
@@ -253,56 +175,44 @@ class TestEstimateClustering:
         rng = np.random.default_rng(31)
         centers = np.array([[0, 0], [30, 0], [0, 30], [30, 30]], dtype=float)
         data = np.vstack([c + rng.normal(0, 1, size=(10, 2)) for c in centers])
-        cl = estimate_clustering(data, "ward")
+        cl = estimate_clustering(data)
         assert cl.num_clusters == 4
 
     def test_single_tight_blob_collapses(self):
         rng = np.random.default_rng(32)
         data = rng.normal(0, 1, size=(20, 32))
-        cl = estimate_clustering(data, "ward")
+        cl = estimate_clustering(data)
         assert cl.num_clusters == 1
 
     def test_two_identical_points(self):
         data = np.zeros((2, 3))
-        cl = estimate_clustering(data, "ward")
+        cl = estimate_clustering(data)
         assert cl.num_clusters == 1
 
     def test_single_point(self):
-        cl = estimate_clustering(np.zeros((1, 4)), "ward")
+        cl = estimate_clustering(np.zeros((1, 4)))
         assert cl.num_clusters == 1
         assert cl.assignments == (0,)
-
-    def test_kmeans_variant(self):
-        rng = np.random.default_rng(33)
-        centers = np.array([[0, 0], [40, 40]], dtype=float)
-        data = np.vstack([c + rng.normal(0, 1, size=(12, 2)) for c in centers])
-        cl = estimate_clustering(data, "kmeans", seed=5)
-        assert cl.num_clusters == 2
 
     def test_deterministic(self):
         rng = np.random.default_rng(34)
         data = rng.normal(size=(30, 4))
         cfg = KSearchConfig(patience=3)
-        a = estimate_clustering(data, "ward", config=cfg, seed=9)
-        b = estimate_clustering(data, "ward", config=cfg, seed=9)
+        a = estimate_clustering(data, config=cfg)
+        b = estimate_clustering(data, config=cfg)
         assert a.assignments == b.assignments
 
     def test_max_clusters_cap(self):
         rng = np.random.default_rng(35)
         data = rng.normal(size=(20, 2)) * 50
-        cl = estimate_clustering(data, "ward", config=KSearchConfig(max_clusters=3))
+        cl = estimate_clustering(data, config=KSearchConfig(max_clusters=3))
         assert cl.num_clusters <= 3
 
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            estimate_clustering(np.zeros((4, 2)), "dbscan")
-
-    @pytest.mark.parametrize("algorithm", ["ward", "kmeans"])
-    def test_chosen_clustering_carries_its_silhouette_report(self, algorithm):
+    def test_chosen_clustering_carries_its_silhouette_report(self):
         rng = np.random.default_rng(36)
         centers = np.array([[0, 0, 0], [20, 0, 0], [0, 20, 0]], dtype=float)
         data = np.vstack([c + rng.normal(0, 1, size=(8, 3)) for c in centers])
-        cl = estimate_clustering(data, algorithm, seed=2)
+        cl = estimate_clustering(data)
         assert cl.num_clusters == 3
         fresh = silhouette(data, cl)
         assert cl.silhouette.coefficients == fresh.coefficients
@@ -311,10 +221,17 @@ class TestEstimateClustering:
         assert bare.silhouette is None
         assert cl == bare and hash(cl) == hash(bare) and repr(cl) == repr(bare)
 
+    @pytest.mark.parametrize("offset", [1e6, 1e7, 1e8, 1e9])
+    def test_shift_changes_neither_k_nor_assignments(self, offset):
+        # the K search reads pairwise_distances, which round with ||x||^2 unless centred
+        for seed in range(10):
+            data = generate_synthetic(SynthConfig(6, 30, 16, blob_stddev=0.3, seed=seed)).embeddings.vectors
+            assert estimate_clustering(data + offset) == estimate_clustering(data)
+
     def test_collapsed_clustering_has_no_silhouette_report(self):
         data = np.random.default_rng(32).normal(0, 1, size=(20, 32))
-        assert estimate_clustering(data, "ward").silhouette is None
-        assert estimate_clustering(np.zeros((1, 4)), "ward").silhouette is None
+        assert estimate_clustering(data).silhouette is None
+        assert estimate_clustering(np.zeros((1, 4))).silhouette is None
 
 
 class TestMemoryCheck:
@@ -332,17 +249,15 @@ class TestMemoryCheck:
 
         monkeypatch.setattr(clustering_module, "pairwise_distances", no_matrix)
         with pytest.raises(ValueError, match=r"n=10 points needs 0\.0 GiB"):
-            estimate_clustering(data, "ward")
+            estimate_clustering(data)
 
-    def test_counts_a_matrix_and_a_triangle_for_ward_and_one_matrix_for_kmeans(self, data, monkeypatch):
+    def test_counts_a_matrix_and_a_triangle(self, data, monkeypatch):
         # Ward holds the 10 x 10 distances, as its cost matrix, and their 45-float upper triangle
         monkeypatch.setattr(clustering_module, "_physical_memory", lambda: (10 * 10 + 45) * 8 - 1)
         with pytest.raises(ValueError):
-            estimate_clustering(data, "ward")
-        monkeypatch.setattr(clustering_module, "_physical_memory", lambda: 10 * 10 * 8)
-        assert estimate_clustering(data, "kmeans").n_points == 10
+            estimate_clustering(data)
         monkeypatch.setattr(clustering_module, "_physical_memory", lambda: (10 * 10 + 45) * 8)
-        assert estimate_clustering(data, "ward").n_points == 10
+        assert estimate_clustering(data).n_points == 10
 
     def test_ward_search_peaks_below_a_matrix_and_a_triangle(self):
         """Ward borrows the distances as its cost matrix, and the sweep's distance
@@ -352,7 +267,7 @@ class TestMemoryCheck:
         data = rng.normal(size=(20, 16))[rng.integers(0, 20, n)] * 10 + rng.normal(size=(n, 16)) * 0.1
         tracemalloc.start()
         try:
-            assert estimate_clustering(data, "ward").num_clusters == 20
+            assert estimate_clustering(data).num_clusters == 20
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -207,7 +207,7 @@ def world():
             fraction_nonregistered=0.25,
         )
     )
-    return ds, build_labeled_store(ds.registered(), algorithm="ward", k=None)
+    return ds, build_labeled_store(ds.registered(), k=None)
 
 
 def test_recognize_picks_each_clusters_best_silhouette_member(world):
@@ -288,7 +288,7 @@ def test_ward_k_search_equals_per_k_search(name, shared_ward_trees):
     build, cap = K_SEARCH_CASES[name]
     data = build()
     for config in k_search_configs(cap):
-        got, want = estimate_clustering(data, "ward", config), per_k_ward_search(data, config)
+        got, want = estimate_clustering(data, config), per_k_ward_search(data, config)
         assert got == want
         assert got.silhouette == want.silhouette
         if name == "noise" and config.min_silhouette > 0:

@@ -191,15 +191,28 @@ def two_entries() -> LabeledClusterSet:
 
 # ids and labels with a space, a non-ASCII letter and a lone surrogate
 store_text = st.text(alphabet="ab \u00e9\ud800", max_size=3)
-# for each column, values that LabeledClusterSet refuses
+# for each column, values that LabeledClusterSet refuses; the last of each of the first three
+# breaks a rule across columns: no member ids, a best id outside the entry, a count sum of 7
 BAD_STORE_VALUES = {
     "labels": ["", "a\tb", "a\u2028", 5, None],
-    "member_ids": ["ab", [1], ("a", None)],
-    "best_silhouette_ids": [7, None],
-    "histograms": [{"a": -1}, {"a": 2**64}, {"a": True}, {"a": 1.0}, {1: 1}, []],
+    "member_ids": ["ab", [1], ("a", None), []],
+    "best_silhouette_ids": [7, None, "z"],
+    "histograms": [{"a": -1}, {"a": 2**64}, {"a": True}, {"a": 1.0}, {1: 1}, [], {"a": 7}],
     "centroids": [np.nan, np.inf],
     "best_silhouette_vectors": [-np.inf],
 }
+
+
+@st.composite
+def store_entry(draw, index: int) -> tuple[list | tuple, str, dict]:
+    """Entry ``index``'s member ids, best-silhouette id (one of them) and label histogram
+    (counts that sum to the member count). A digit no id holds starts every id of the
+    entry, so no id is in two entries."""
+    ids = [f"{index}{m}" for m in draw(st.lists(store_text, min_size=1, max_size=3, unique=True))]
+    labels = draw(st.lists(store_text, min_size=1, max_size=2, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, len(ids)), min_size=len(labels) - 1, max_size=len(labels) - 1)))
+    histogram = {label: b - a for label, a, b in zip(labels, [0, *cuts], [*cuts, len(ids)])}
+    return draw(st.sampled_from([list, tuple]))(ids), draw(st.sampled_from(ids)), histogram
 
 
 @st.composite
@@ -208,17 +221,12 @@ def store_columns(draw) -> tuple[dict, bool]:
     was replaced by one from ``BAD_STORE_VALUES``."""
     size, dim = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     matrix = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size * dim, max_size=size * dim)
+    entries = [draw(store_entry(i)) for i in range(size)]
     columns = dict(
         labels=draw(st.lists(store_text.filter(bool), min_size=size, max_size=size)),
-        # a digit no id holds starts every id of entry i, so no id is in two entries
-        member_ids=[
-            draw(st.sampled_from([list, tuple]))(f"{i}{m}" for m in draw(st.lists(store_text, max_size=3, unique=True)))
-            for i in range(size)
-        ],
-        best_silhouette_ids=draw(st.lists(store_text, min_size=size, max_size=size)),
-        histograms=draw(
-            st.lists(st.dictionaries(store_text, st.integers(0, 2**64 - 1), max_size=2), min_size=size, max_size=size)
-        ),
+        member_ids=[ids for ids, _, _ in entries],
+        best_silhouette_ids=[best for _, best, _ in entries],
+        histograms=[histogram for _, _, histogram in entries],
         centroids=np.array(draw(matrix)).reshape(size, dim),
         best_silhouette_vectors=np.array(draw(matrix)).reshape(size, dim),
     )
@@ -407,19 +415,41 @@ class TestStoreFile:
         with pytest.raises(FormatError, match="s.json: unsupported store version"):
             read_store(path)
 
-    @pytest.mark.parametrize("count, loads", [(2**64 - 1, True), (2**64, False)], ids=["64-bit", "beyond-64-bit"])
-    def test_histogram_count_beyond_64_bits_is_rejected(self, tmp_path, store, count, loads):
-        """orjson reads an integer beyond 64 bits as a float, which no count may be."""
+    @pytest.mark.parametrize(
+        "count, message",
+        [(2**64 - 1, f"'label_histogram' counts sum to {2**64 - 1}, not"), (2**64, "bad value for 'label_histogram' (")],
+        ids=["64-bit", "beyond-64-bit"],
+    )
+    def test_histogram_count_beyond_64_bits_is_rejected(self, tmp_path, store, count, message):
+        """orjson reads an integer beyond 64 bits as a float, which no count may be; a
+        64-bit count is read as the integer it is, and only its sum is wrong."""
         path = tmp_path / "s.json"
         write_store(store, path)
         doc = json.loads(path.read_text())
         doc["entries"][0]["label_histogram"] = {"alice": count}
         path.write_text(json.dumps(doc))
-        if loads:
-            assert read_store(path)[0].histograms[0] == {"alice": count}
-        else:
-            with pytest.raises(FormatError, match="s.json: entry 0: bad value for 'label_histogram'"):
-                read_store(path)
+        with pytest.raises(FormatError) as raised:
+            read_store(path)
+        assert str(raised.value).startswith(f"{path}: entry 0: {message}")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("member_ids", [], "'member_ids' is empty"),
+            ("best_silhouette_id", "a1", "'best_silhouette_id' 'a1' is not one of its 'member_ids'"),
+            ("label_histogram", {"bob": 2}, "'label_histogram' counts sum to 2, not to its 1 'member_ids'"),
+        ],
+        ids=["no-member-ids", "best-id-of-another-entry", "counts-off-the-member-count"],
+    )
+    def test_entry_whose_columns_disagree(self, tmp_path, store, key, value, message):
+        path = tmp_path / "s.json"
+        write_store(store, path)
+        doc = json.loads(path.read_text())
+        doc["entries"][1][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as raised:
+            read_store(path)
+        assert str(raised.value) == f"{path}: entry 1: {message}"
 
     def test_lone_surrogate_loads_as_json_reads_it(self, tmp_path, store):
         """orjson rejects a lone surrogate; json's reading of the file stands."""

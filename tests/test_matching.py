@@ -278,7 +278,7 @@ class TestLabeledClusterSet:
                 labels=["x", "y"],
                 member_ids=[("a",), ("b", "a")],
                 best_silhouette_ids=["a", "b"],
-                histograms=[{}, {}],
+                histograms=[{"x": 1}, {"y": 2}],
                 centroids=[[0.0], [1.0]],
                 best_silhouette_vectors=[[0.0], [1.0]],
             )
@@ -336,6 +336,29 @@ class TestLabeledClusterSet:
             LabeledClusterSet(**columns)
         assert str(raised.value) == f"entry 1: bad value for {key!r} ({reason})"
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("member_ids", (), "entry 1: 'member_ids' is empty"),
+            ("best_silhouette_ids", "a", "entry 1: 'best_silhouette_id' 'a' is not one of its 'member_ids'"),
+            ("histograms", {"y": 1, "x": 1}, "entry 1: 'label_histogram' counts sum to 2, not to its 1 'member_ids'"),
+        ],
+        ids=["no-member-ids", "best-id-of-another-entry", "counts-off-the-member-count"],
+    )
+    def test_entry_columns_must_agree(self, column, value, message):
+        columns = dict(
+            labels=["x", "y"],
+            member_ids=[("a",), ("b",)],
+            best_silhouette_ids=["a", "b"],
+            histograms=[{"x": 1}, {"y": 1}],
+            centroids=[[0.0], [1.0]],
+            best_silhouette_vectors=[[0.0], [1.0]],
+        )
+        columns[column][1] = value
+        with pytest.raises(ValueError) as raised:
+            LabeledClusterSet(**columns)
+        assert str(raised.value) == message
+
     def test_dimension_checked(self):
         cases = [
             ([[0.0, 1.0]], [[0.0, 1.0, 2.0]], "cluster embedding dimensions disagree"),
@@ -349,7 +372,7 @@ class TestLabeledClusterSet:
                     labels=["x"],
                     member_ids=[("a",)],
                     best_silhouette_ids=["a"],
-                    histograms=[{}],
+                    histograms=[{"x": 1}],
                     centroids=centroids,
                     best_silhouette_vectors=best,
                 )

@@ -100,7 +100,7 @@ class TestGenerate:
 
     def test_clustering_recovers_k(self):
         ds = generate_synthetic(SynthConfig(4, 10, 32, blob_stddev=1.0, separation=10.0, seed=6))
-        cl = estimate_clustering(as_matrix(ds.embeddings), "ward")
+        cl = estimate_clustering(as_matrix(ds.embeddings))
         assert cl.num_clusters == 4
 
 
