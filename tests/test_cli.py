@@ -623,7 +623,7 @@ class TestOneDistanceMatrixPerRun:
 
 # every numeric flag is set, one at a time, to each of these; no value lies between a
 # small baseline and an edge, so no case starts a job whose size scales with an argument
-EDGES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", str(2**63)]
+EDGES = ["0", "-0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", str(2**63), str(-(2**63) - 1)]
 KSEARCH_FLAGS = ["--patience", "--min-silhouette", "--max-clusters"]
 EDGE_WORLD = ["synth", "--identities", "4", "--points", "5", "--dim", "4", "--stddev", "0.25"]  # 20 faces
 
@@ -637,10 +637,16 @@ def _edge_cases():
         yield command, base + ["--k", "2"], "--k"
         for flag in KSEARCH_FLAGS:
             yield command, base + ["--auto-k"], flag
+            # a fixed K still builds the K search's config, so its flags are checked there too
+            yield f"{command} --k 2", base + ["--k", "2"], flag
+    match = ["match", "--in", "{emb}", "--store", "{store}", "--out", "{out}"]
     for flag in ["--alpha", "--threshold", *KSEARCH_FLAGS]:
-        yield "match", ["match", "--in", "{emb}", "--store", "{store}", "--out", "{out}"], flag
+        yield "match", match, flag
+    for flag in ["--alpha", "--threshold"]:
+        yield "match silhouette", match + ["--embedding-method", "silhouette"], flag
     evaluate = ["evaluate", "--mode", "vmeasure", "--in", "{emb}", "--clustering", "{clustering}", "--out", "{out}"]
     yield "evaluate", evaluate, "--beta"
+    yield "evaluate video", ["evaluate", "--mode", "video", "--truth", "{emb}", "--pred", "{labels}", "--out", "{out}"], "--beta"
     yield "timeline", ["timeline", "--labels", "{labels}", "--out", "{out}"], "--fps"
 
 
