@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -66,8 +67,9 @@ def write_json(path: str | Path | None, doc) -> str:
 # orjson 3.8 crashes the process (SIGSEGV) on a closed nest 150 000 deep; the files
 # this module writes are 3 deep
 _ORJSON_MAX_DEPTH = 64
-# every byte but the brackets and the quote
-_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+# the bytes that give a JSON document its nesting: the brackets and the quote
+_STRUCTURE_BYTES = b'[]{}"'
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(_STRUCTURE_BYTES)))
 
 
 def _nesting_depth(data: bytes) -> int:
@@ -79,6 +81,53 @@ def _nesting_depth(data: bytes) -> int:
         return 0
     steps = (np.frombuffer(outside, np.uint8) & 2).astype(np.int64) - 1  # '[' and '{' have bit 1 set: +1; ']' and '}' -1
     return int(np.cumsum(steps).max())
+
+
+# whether each byte value is one of _STRUCTURE_BYTES
+_STRUCTURE = np.isin(np.arange(256), list(_STRUCTURE_BYTES))
+# bytes per step of _entry_spans: its arrays stay a few times this long, whatever the file's size
+_SCAN_WINDOW = 1 << 20
+
+
+def _entry_spans(data: bytes) -> tuple[int, int, list[int], list[int]] | None:
+    """Where the one array at depth 1 of ``data`` opens and closes, and where each object in
+    it starts and ends (one past its '}'). None unless there is exactly one such array and
+    every nest directly in it is an object.
+
+    One scan for the brackets outside strings, a window at a time. It takes every quote for
+    the edge of a string, so ``data`` must hold no escaped quote or backslash."""
+    quotes = depth = 0
+    found = []  # per window: position, byte and depth after of each bracket between depths 0 and 3
+    for start in range(0, len(data), _SCAN_WINDOW):
+        window = np.frombuffer(data, np.uint8, min(_SCAN_WINDOW, len(data) - start), start)
+        # '[' ']' '{' '}' and the bytes that share their bits ('Y' '_' 'y' DEL), and the quote
+        near = (window | 0x20) & 0xF9 == 0x79
+        near |= window == ord('"')
+        at = np.flatnonzero(near)
+        at = at[_STRUCTURE[window[at]]]
+        chars = window[at]
+        is_quote = chars == ord('"')
+        outside = ~is_quote & ((np.cumsum(is_quote) + quotes) % 2 == 0)  # an even number of quotes before it
+        quotes += int(np.count_nonzero(is_quote))
+        at, chars = at[outside] + start, chars[outside]
+        steps = (chars & 2).astype(np.int64) - 1  # '[' and '{' have bit 1 set: +1; ']' and '}' -1
+        after = np.cumsum(steps) + depth
+        depth = int(after[-1]) if len(after) else depth
+        shallow = np.minimum(after, after - steps) <= 2
+        found.append((at[shallow], chars[shallow], after[shallow]))
+    if not found:
+        return None
+    at, chars, after = (np.concatenate(column) for column in zip(*found))
+    arrays = np.flatnonzero((chars == ord("[")) & (after == 2))
+    if len(arrays) != 1 or not (closing := np.flatnonzero(after[arrays[0] :] == 1)).size:
+        return None
+    opened, closed = arrays[0], arrays[0] + closing[0]
+    # between them, the brackets kept are those that open an entry (depth 2 to 3) or close one (3 to 2)
+    inner = slice(opened + 1, closed)
+    entry_opens = after[inner] == 3
+    if (chars[inner][entry_opens] != ord("{")).any():
+        return None
+    return int(at[opened]), int(at[closed]), at[inner][entry_opens].tolist(), (at[inner][~entry_opens] + 1).tolist()
 
 
 def _read_json_object(path: str | Path, data: bytes) -> tuple[dict, bool]:
@@ -378,41 +427,118 @@ def read_store(path: str | Path) -> tuple[LabeledClusterSet, dict]:
 
     The file is read once. When it holds at least ``_STORE_CACHE_MIN_BYTES``, its
     sidecar (``_store_cache_path``) is loaded instead of parsing the JSON, if it was
-    written for the same bytes; otherwise the JSON is parsed and the sidecar written.
-    The cyclic collector is paused while the store is built."""
+    written for the same bytes; otherwise the JSON is parsed (``_parse_store``) and the
+    sidecar written. The cyclic collector is paused while the store is built."""
     data = Path(path).read_bytes()
     digest = hashlib.sha256(data).digest() if len(data) >= _STORE_CACHE_MIN_BYTES else None
     if digest is not None and (cached := _load_store_cache(path, digest)) is not None:
         return cached
-    doc, by_orjson = _read_json_object(path, data)
-    del data  # the parse tree outweighs the bytes; let them go before the columns are built
-    store, metadata = _parse_store(path, doc)
-    del doc
+    store, metadata, by_orjson = _parse_store(path, data)
+    del data  # the sidecar's archive is built in memory
     # json's reading of a file orjson rejects (NaN, 1e400) would not survive orjson.dumps
     if digest is not None and by_orjson:
         _save_store_cache(path, digest, store, metadata)
     return store, metadata
 
 
-def _parse_store(path: str | Path, doc: dict) -> tuple[LabeledClusterSet, dict]:
-    """The store and metadata of a parsed store document; FormatError names what is wrong."""
+def _parse_store(path: str | Path, data: bytes) -> tuple[LabeledClusterSet, dict, bool]:
+    """The store and metadata in a store file's bytes, and whether orjson parsed them;
+    FormatError names what is wrong.
+
+    The entries are parsed a slice at a time (``_parse_store_slices``). A file that the
+    sliced parse declines is parsed whole, as ``_loads`` parses any JSON file: that parse is
+    the referee, whose values and messages the sliced parse gives whenever it accepts."""
+    sliced = _parse_store_slices(path, data)
+    if sliced is not None:
+        return (*sliced, True)
+    doc, by_orjson = _read_json_object(path, data)
+    dimension, entries, metadata = _store_header(path, doc)
+    return _store(path, *_entry_columns(path, entries, dimension)), metadata, by_orjson
+
+
+# entries per orjson call of the sliced store parse; only one slice's parse tree is alive at once
+_SLICE_ENTRIES = 256
+# the whitespace JSON allows between tokens; bytes.strip() would strip \x0b and \x0c too
+_JSON_WHITESPACE = b" \t\n\r"
+# ``_entry_spans`` takes every quote for the edge of a string, which these escapes break;
+# the \uXXXX that ``write_store`` writes for a non-ASCII character does not
+_ESCAPED_QUOTE_OR_BACKSLASH = re.compile(rb'\\[\\"]')
+
+
+def _parse_store_slices(path: str | Path, data: bytes) -> tuple[LabeledClusterSet, dict] | None:
+    """The store and metadata in a store file's bytes, its entries parsed by orjson
+    ``_SLICE_ENTRIES`` at a time and their vectors written straight into (S, d) matrices.
+
+    ``_entry_spans`` locates the entries. The header is the file with the entries array
+    emptied; each slice is parsed as ``[`` + its bytes + ``]``; between slices and at the
+    array's edges stand only JSON whitespace and the separating comma. The columns are
+    checked as a whole, so cross-entry rules see every entry.
+
+    None when the file must be parsed whole: it holds an escaped quote or backslash, nests
+    deeper than orjson may parse, has other than one array at depth 1 or other than objects
+    in it, orjson rejects a piece, or a check fails (its message would name an entry by its
+    place in the slice, and the whole parse names the first fault of the whole file)."""
+    if b"\\" in data and _ESCAPED_QUOTE_OR_BACKSLASH.search(data) or _nesting_depth(data) > _ORJSON_MAX_DEPTH:
+        return None
+    spans = _entry_spans(data)
+    if spans is None:
+        return None
+    opened, closed, starts, ends = spans
+    try:
+        header = orjson.loads(data[: opened + 1] + data[closed:])
+        if not isinstance(header, dict) or header.get("entries") != []:
+            return None
+        dimension, _, metadata = _store_header(path, header)
+        size, end = len(starts), opened + 1
+        columns = [[], [], [], [], np.empty((size, dimension)), np.empty((size, dimension))]
+        for first in range(0, size, _SLICE_ENTRIES):
+            last = min(first + _SLICE_ENTRIES, size)
+            if data[end : starts[first]].strip(_JSON_WHITESPACE) != (b"," if first else b""):
+                return None
+            entries = orjson.loads(b"".join((b"[", memoryview(data)[starts[first] : ends[last - 1]], b"]")))
+            for column, values in zip(columns, _entry_columns(path, entries, dimension)):
+                column[first:last] = values  # a list grows by the slice's items, a matrix fills its rows
+            del entries
+            end = ends[last - 1]
+        if data[end:closed].strip(_JSON_WHITESPACE):
+            return None
+        return _store(path, *columns), metadata
+    except ValueError:  # orjson.JSONDecodeError and FormatError among them
+        return None
+
+
+def _store_header(path: str | Path, doc: dict) -> tuple[int, list, dict]:
+    """The dimension, entries and metadata of a parsed store document; FormatError names what is wrong."""
     if doc.get("format") != "clustermatch-store":
         raise FormatError(f"{path}: not a clustermatch store file")
     _version(path, doc, STORE_VERSION, "store")
     dimension = _field(path, "top level", doc, "dimension", _positive_int)
     entries = _field(path, "top level", doc, "entries", _list)
     metadata = _field(path, "top level", doc, "metadata", _object) if "metadata" in doc else {}
+    return dimension, entries, metadata
+
+
+def _entry_columns(path: str | Path, entries: list, dimension: int) -> tuple:
+    """The labels, member ids, best-silhouette ids and histograms (lists), and the centroid
+    and best-silhouette matrices of parsed store entries. FormatError names an entry by its
+    place in ``entries``: one that is not an object, lacks a key or has a bad vector."""
     for index, e in enumerate(entries):
         if not isinstance(e, dict):
             raise FormatError(f"{path}: entry {index}: expected a JSON object, got {type(e).__name__}")
         for key in _STORE_ENTRY_KEYS:
             if key not in e:
                 raise FormatError(f"{path}: entry {index}: missing key {key!r}")
-    columns = [[e[key] for e in entries] for key in ("label", "member_ids", "best_silhouette_id")]
-    histograms = [e.get("label_histogram", {}) for e in entries]
-    vectors = [_matrix(path, entries, key, dimension) for key in ("centroid", "best_silhouette_vector")]
-    try:  # LabeledClusterSet checks the other values, and names the first bad entry
-        return LabeledClusterSet(*columns, histograms, *vectors), metadata
+    return (
+        *([e[key] for e in entries] for key in ("label", "member_ids", "best_silhouette_id")),
+        [e.get("label_histogram", {}) for e in entries],
+        *(_matrix(path, entries, key, dimension) for key in ("centroid", "best_silhouette_vector")),
+    )
+
+
+def _store(path: str | Path, *columns) -> LabeledClusterSet:
+    """``LabeledClusterSet(*columns)``, which checks the values; FormatError names the first bad entry."""
+    try:
+        return LabeledClusterSet(*columns)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 

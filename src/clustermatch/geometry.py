@@ -163,13 +163,16 @@ def as_matrix(embeddings: Iterable[Embedding] | np.ndarray) -> np.ndarray:
 
 def rmse(a, b):
     """Root mean square difference along the last axis, over its n dimensions: the
-    Euclidean distance divided by sqrt(n). Given a matrix, each row gets its own."""
+    Euclidean distance divided by sqrt(n). Given a matrix, each row gets its own.
+    A difference or square beyond float64 makes the RMSE inf, without numpy's
+    overflow warning: the similarity of such a pair is 0."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
     n = av.shape[-1]
     if bv.shape[-1] != n:
         raise ValueError(f"dimension mismatch: {n} vs {bv.shape[-1]}")
-    return np.sqrt(np.sum((av - bv) ** 2, axis=-1) / n)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum((av - bv) ** 2, axis=-1) / n)
 
 
 def row_mean(mat: np.ndarray) -> np.ndarray:
@@ -182,18 +185,20 @@ def row_mean(mat: np.ndarray) -> np.ndarray:
     return mean
 
 
-def squared_norms(mat: np.ndarray) -> np.ndarray:
+def squared_norms(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Each row's squared norm, for squared distances taken as (sq_i + sq_j) - 2 * gram_ij.
 
     Raises ValueError when 4 * max ||x||^2, which bounds every term of that
-    form, is not finite: the distances would come out inf or nan.
+    form, is not finite: the distances would come out inf or nan. ``mat`` is
+    ``data`` centred, whose values may overflow where ``data``'s do not, so the
+    message names the largest magnitude in ``data``.
     """
     with np.errstate(over="ignore"):
         sq = np.sum(mat**2, axis=1)
         bound = 4.0 * sq.max(initial=0.0)
     if not np.isfinite(bound):
         raise ValueError(
-            f"vector components up to {np.abs(mat).max():.3g} in magnitude are too large: "
+            f"vector components up to {np.abs(data).max():.3g} in magnitude are too large: "
             "their squared distances overflow float64"
         )
     return sq
@@ -226,9 +231,9 @@ def pairwise_distances(data: np.ndarray) -> np.ndarray:
     # C copy, so the mean's sum order is the same for every layout; by a rounded mean,
     # so integer data keep exact differences; a centred value beyond float64 is refused below
     with np.errstate(over="ignore"):
-        mat = mat - np.round(row_mean(mat))
-    sq = squared_norms(mat)
-    d = mat @ mat.T
+        centred = mat - np.round(row_mean(mat))
+    sq = squared_norms(centred, mat)
+    d = centred @ centred.T
     n = d.shape[0]
     # every element at or above the diagonal as sqrt(max((sq_i + sq_j) - 2 * gram_ij, 0))
     for r in range(0, n, DISTANCE_BLOCK):

@@ -19,6 +19,8 @@ from clustermatch.geometry import Embedding
 from clustermatch.matching import MatchConfig
 from clustermatch.timeline import DEFAULT_FPS
 
+from .stores import store_of
+
 SYNTH = [
     "synth",
     "--identities", "5",
@@ -561,6 +563,19 @@ class TestErrorHandling:
         self.assert_one_error_line(capsys, "1e+200", "overflow")
         assert not (tmp_path / "cl.json").exists()
 
+    def test_overflow_after_centring_names_the_input_magnitude(self, tmp_path, capsys):
+        # finite faces whose centred values overflow: -1.7e308 less the mean 5.7e307 is -inf
+        emb = tmp_path / "far.emb"
+        rows = ["1.7e308", "1.7e308", "-1.7e308"]
+        emb.write_text("#emb v1 dim=1\n" + "".join(f"f{i}\tv\t{i}\tx\t{row}\n" for i, row in enumerate(rows)))
+        capsys.readouterr()
+        assert run(["cluster", "--in", emb, "--auto-k", "--out", tmp_path / "cl.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.strip().splitlines() == [
+            "error: vector components up to 1.7e+308 in magnitude are too large: their squared distances overflow float64"
+        ]
+        assert not (tmp_path / "cl.json").exists()
+
     @pytest.mark.parametrize("command", ["cluster", "label"])
     def test_column_sum_beyond_float64(self, tmp_path, capsys, command):
         # two faces at (0, 1e308): their column sum overflows, but their mean, their
@@ -574,6 +589,21 @@ class TestErrorHandling:
         assert not capsys.readouterr().err
         if command == "label":
             assert read_store(out)[0].centroids.tolist() == [[0.0, 1e308]]
+
+    @pytest.mark.parametrize("stored", [0.0, -1e308], ids=["square-overflows", "difference-overflows"])
+    def test_match_of_a_face_far_from_every_store_entry(self, tmp_path, capsys, stored):
+        # the squared difference (or the difference itself) of a face at 1e308 and the entry
+        # overflows: an RMSE of inf and a similarity of 0, with no overflow warning; the
+        # softmax over a one-entry store gives that entry probability 1 all the same
+        emb, store, out = tmp_path / "far.emb", tmp_path / "store.json", tmp_path / "labels.tsv"
+        emb.write_text("#emb v1 dim=1\nf0\tv\t0\tx\t1e308\n")
+        write_store(store_of([[stored]]), store)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["match", "--in", emb, "--store", store, "--out", out]) == 0
+        assert not capsys.readouterr().err
+        assert out.read_text().splitlines()[1:] == ["f0\t0\tp0"]
 
 
 class TestOneDistanceMatrixPerRun:

@@ -644,6 +644,254 @@ class TestStoreSidecar:
         assert outputs[0] == outputs[1]
 
 
+
+class Obj(list):
+    """A JSON object as its (key, value) pairs, in order; a key may be repeated."""
+
+
+class Raw(str):
+    """A JSON token written as it is, such as the number ``-0``."""
+
+
+def emit(value, gap, ascii_only: bool, entries_gap=None) -> str:
+    """The JSON text of ``value``; ``gap(depth)`` gives the whitespace before each token and
+    ``entries_gap`` the text between two entries of the top-level ``entries`` array."""
+
+    def text(value, depth: int) -> str:
+        if isinstance(value, Raw):
+            return value
+        if isinstance(value, (Obj, list)):
+            items = [
+                f"{text(k, depth + 1)}{gap(depth + 1)}:{gap(depth + 1)}{text(v, depth + 1)}" if isinstance(value, Obj)
+                else text(v, depth + 1)
+                for k, v in (value if isinstance(value, Obj) else [(None, v) for v in value])
+            ]
+            seps = [f",{gap(depth + 1)}"] * (len(items) - 1)
+            if depth == 1 and entries_gap is not None and items and all(isinstance(v, Obj) for v in value):
+                seps = [entries_gap() for _ in seps]
+            body = gap(depth + 1) + "".join(item + sep for item, sep in zip(items, [*seps, ""]))
+            return ("{" if isinstance(value, Obj) else "[") + body + gap(depth) + ("}" if isinstance(value, Obj) else "]")
+        return json.dumps(value, ensure_ascii=ascii_only)
+
+    return text(value, 0)
+
+
+# ids and labels with a space and non-ASCII letters, which write_store escapes as \uXXXX
+sliced_text = st.text(alphabet="ab é中", max_size=3)
+number_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "0", "1", "-3", "1e308", "-1e308", "1E2", "2.5e-300", "9007199254740993", "18446744073709551615"]),
+).map(Raw)
+sliced_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | sliced_text,
+    lambda children: st.lists(children, max_size=3) | st.lists(st.tuples(sliced_text, children), max_size=3).map(Obj),
+    max_leaves=8,
+)
+rarely = st.sampled_from([False, False, False, True])
+# faults the whole-document parse must name, each made in one entry
+SLICED_FAULTS = {
+    "missing-key": lambda e: e.remove(next(pair for pair in e if pair[0] == "centroid")),
+    "string-component": lambda e: e.append(("centroid", ["x"])),
+    "short-vector": lambda e: e.append(("best_silhouette_vector", [])),
+    "shared-member-id": lambda e: e.append(("member_ids", ["0a", "shared"])),
+    "tab-label": lambda e: e.append(("label", "a\tb")),
+    "no-histogram": lambda e: e.remove(next(pair for pair in e if pair[0] == "label_histogram")),
+}
+
+
+@st.composite
+def sliced_store_texts(draw) -> str:
+    """A store file written in the layouts, key orders and number spellings JSON allows, now
+    and then with extra or repeated top-level keys, a fault in an entry, an entry that is not
+    an object, a stray byte between entries or trailing garbage."""
+    rnd = draw(st.randoms(use_true_random=False))
+    size, dim = draw(st.integers(0, 7)), draw(st.integers(1, 3))
+    vector = st.lists(number_tokens, min_size=dim, max_size=dim)
+    entries = []
+    for index in range(size):
+        ids = [f"{index}{m}" for m in draw(st.lists(sliced_text, min_size=1, max_size=3, unique=True))]
+        label = draw(sliced_text.filter(bool))
+        pairs = [("label", label), ("member_ids", ids), ("centroid", draw(vector)),
+                 ("best_silhouette_id", draw(st.sampled_from(ids))), ("best_silhouette_vector", draw(vector)),
+                 ("label_histogram", Obj([(label, len(ids))]))]
+        entries.append(Obj(draw(st.permutations(pairs))))
+    if entries and draw(rarely):  # ids holding a quote or a backslash, which JSON escapes
+        entry, tail = draw(st.sampled_from(entries)), draw(st.sampled_from(['"', "\\"]))
+        entry[:] = [
+            (k, [i + tail for i in v] if k == "member_ids" else v + tail if k == "best_silhouette_id" else v)
+            for k, v in entry
+        ]
+    top = [("format", "clustermatch-store"), ("version", 1), ("dimension", dim), ("entries", entries)]
+    if draw(st.booleans()):
+        top.append(("metadata", Obj(draw(st.lists(st.tuples(sliced_text, sliced_json), max_size=3)))))
+    if draw(rarely):
+        extra_key = st.sampled_from(["extra", "extra", "metadata", "entries", "dimension"])
+        top += draw(st.lists(st.tuples(extra_key, sliced_json), min_size=1, max_size=2))
+    top = draw(st.permutations(top))
+    if entries and draw(rarely):
+        spoiled = draw(st.integers(0, size - 1))
+        fault = draw(st.sampled_from([*SLICED_FAULTS, "not-an-object"]))
+        if fault == "not-an-object":
+            entries[spoiled] = draw(st.sampled_from([Raw("7"), "x", [], None]))
+        else:
+            SLICED_FAULTS[fault](entries[spoiled])
+    gap = {
+        "compact": lambda depth: "",
+        "indented": lambda depth: "\n" + " " * depth,
+        "spaced": lambda depth: "".join(rnd.choice(" \t\n\r") for _ in range(rnd.randint(0, 2))),
+    }[draw(st.sampled_from(["compact", "indented", "spaced"]))]
+    stray = draw(st.sampled_from(["\x0b", "\x0c"])) if draw(rarely) else ""
+    entries_gap = lambda: rnd.choice(["", stray]) + "," + rnd.choice(["", stray, "\n"])
+    text = emit(Obj(top), gap, draw(st.booleans()), entries_gap)
+    return text + (draw(st.sampled_from([" x", "]", "{}", "\x0c", "\n"])) if draw(rarely) else "")
+
+
+def read_outcome(path: Path) -> tuple:
+    """What read_store makes of ``path``: every column bit for bit and the metadata with its
+    key order and number types, or the error message; and whether it wrote a sidecar."""
+    sidecar = formats._store_cache_path(path)
+    sidecar.unlink(missing_ok=True)
+    try:
+        store, metadata = read_store(path)
+        result = (
+            store.labels, store.member_ids, store.best_silhouette_ids, repr(store.histograms),
+            store.centroids.tobytes(), store.best_silhouette_vectors.tobytes(), repr(metadata),
+        )
+    except FormatError as exc:
+        result = str(exc)
+    return result, sidecar.is_file()
+
+
+class TestSlicedStoreParse:
+    """``read_store`` parses a store a slice of entries at a time; what it gives must be what
+    the whole-document parse gives, which decides every file the sliced parse declines."""
+
+    @given(sliced_store_texts(), st.integers(1, 3))
+    def test_equals_the_whole_document_parse(self, tmp_path_factory, text, slice_entries):
+        path = tmp_path_factory.mktemp("sliced") / "s.json"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_STORE_CACHE_MIN_BYTES", 1)
+            patch.setattr(formats, "_SLICE_ENTRIES", slice_entries)
+            sliced = read_outcome(path)
+            patch.setattr(formats, "_parse_store_slices", lambda path, data: None)
+            assert sliced == read_outcome(path)
+
+    @pytest.mark.parametrize("slice_entries", [1, 2, 3, 256])
+    @pytest.mark.parametrize("layout", ["indented", "compact"])
+    def test_written_stores_take_the_sliced_parse(self, tmp_path, monkeypatch, slice_entries, layout):
+        """write_store's output, \\uXXXX escapes of non-ASCII labels and ids among it, is not declined."""
+        monkeypatch.setattr(formats, "_SLICE_ENTRIES", slice_entries)
+        store = LabeledClusterSet(
+            labels=["alé", "中", "carol"],
+            member_ids=[("é1", "a2"), ("b1",), ("c1", "c2", "c3")],
+            best_silhouette_ids=["a2", "b1", "c3"],
+            histograms=[{"alé": 2}, {"中": 1}, {"carol": 2, "dave": 1}],
+            centroids=[(0.5, 1 / 3), (9.0, -2.0), (-0.0, 1e308)],
+            best_silhouette_vectors=[(0.25, 0.4), (9.0, -2.0), (5e-324, 7.0)],
+        )
+        metadata = {"k": 3, "run": {"seeds": [1, 2]}, "note": "é"}
+        path = tmp_path / "s.json"
+        write_store(store, path, metadata=metadata)
+        if layout == "compact":
+            path.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
+        assert b"\\u00e9" in path.read_bytes()
+        data = path.read_bytes()
+        sliced = formats._parse_store_slices(path, data)
+        assert sliced is not None
+        assert sliced[0] == store and sliced[0].centroids.tobytes() == store.centroids.tobytes()
+        assert list(sliced[1].items()) == list(metadata.items())
+
+    @pytest.mark.parametrize(
+        "old, new, label",
+        [
+            ('"bob"', '"b\\"\\"ob"', 'b""ob'),  # escaped quotes, two of them, so the quote count stays even
+            ('"bob"', '"b\\\\ob"', "b\\ob"),  # an escaped backslash
+        ],
+        ids=["escaped-quotes", "escaped-backslash"],
+    )
+    def test_escaped_quote_or_backslash_is_declined(self, tmp_path, old, new, label):
+        """The scan takes every quote for the edge of a string, so these files go to the
+        whole-document parse, even where the scan would have found the entries."""
+        path = tmp_path / "s.json"
+        write_store(two_entries(), path)
+        path.write_text(path.read_text().replace(old, new))
+        assert formats._parse_store_slices(path, path.read_bytes()) is None
+        assert read_store(path)[0].labels == ("alice", label)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"entries": [', '"extra": [], "entries": ['),  # a second array at depth 1
+            ('"entries": [', '"entries": [[], '),  # an entry that is not an object
+            ('"entries": [', '"entries": [\x0c'),  # a form feed, which JSON does not allow, before the first entry
+            ('"centroid": [', '"centroid": [NaN, '),  # orjson rejects NaN
+        ],
+        ids=["two-arrays", "nested-array", "form-feed", "nan"],
+    )
+    def test_declined_files_go_to_the_whole_document_parse(self, tmp_path, old, new):
+        path = tmp_path / "s.json"
+        write_store(two_entries(), path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert formats._parse_store_slices(path, path.read_bytes()) is None
+
+    def test_top_level_array_holding_an_array_is_not_an_object(self, tmp_path):
+        """Its inner array is the one array at depth 1, and its header is a list."""
+        path = tmp_path / "s.json"
+        path.write_text('[[{"label": "a"}]]')
+        with pytest.raises(FormatError, match="s.json: expected a JSON object at the top level, got list"):
+            read_store(path)
+
+    def test_a_fault_in_a_later_slice_is_named_by_its_place_in_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "_SLICE_ENTRIES", 1)
+        path = tmp_path / "s.json"
+        write_store(two_entries(), path)
+        doc = json.loads(path.read_text())
+        doc["entries"][1]["member_ids"] = ["a1"]
+        doc["entries"][1]["best_silhouette_id"] = "a1"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as raised:
+            read_store(path)
+        assert str(raised.value) == f"{path}: entry 1: duplicate member id 'a1' across store entries"
+
+    def test_first_read_of_a_10_mib_store_grows_rss_by_under_3x_its_size(self, tmp_path):
+        """1700 entries at d = 128, read once with no sidecar, in a fresh process. A process
+        started by this one would take this one's peak RSS as its own ru_maxrss (Linux keeps it
+        across fork and exec), so a small launcher starts the reading process."""
+        rng = np.random.default_rng(0)
+        size, dim = 1700, 128
+        store = LabeledClusterSet(
+            labels=[f"person{i:05d}" for i in range(size)],
+            member_ids=[[f"face{i:05d}-{m}" for m in range(5)] for i in range(size)],
+            best_silhouette_ids=[f"face{i:05d}-0" for i in range(size)],
+            histograms=[{f"person{i:05d}": 5} for i in range(size)],
+            centroids=rng.normal(size=(size, dim)),
+            best_silhouette_vectors=rng.normal(size=(size, dim)),
+        )
+        path = tmp_path / "store.json"
+        write_store(store, path)
+        file_size = path.stat().st_size
+        assert 9 << 20 < file_size < 12 << 20
+        code = (
+            "import resource, sys\n"
+            "from clustermatch import formats\n"
+            "formats._STORE_CACHE_MIN_BYTES = 1 << 62\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "store, _ = formats.read_store(sys.argv[1])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(len(store), (after - before) * 1024)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        launcher = "import subprocess, sys; sys.exit(subprocess.run([sys.executable, *sys.argv[1:]]).returncode)"
+        argv = [sys.executable, "-c", launcher, "-c", code, str(path)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-500:]
+        entries, grown = map(int, done.stdout.split())
+        assert entries == size
+        assert grown < 3 * file_size, f"RSS grew {grown / file_size:.2f}x the {file_size}-byte file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.json"]
+
 def json_depth(value) -> int:
     if isinstance(value, list):
         return 1 + max(map(json_depth, value), default=0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ class TestRmse:
         a, b = pair
         n = len(a)
         assert rmse(a, b) * math.sqrt(n) == pytest.approx(euclidean_distance(a, b), rel=1e-12, abs=1e-12)
+
+    def test_differences_beyond_float64_give_inf_without_a_warning(self):
+        a = np.array([[1e308, 0.0], [2e200, 0.0], [0.5, 1.0]])
+        b = np.array([[-1e308, 0.0], [0.0, 0.0], [0.25, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rmse(a, b)
+        assert out.tolist() == [np.inf, np.inf, math.sqrt((0.25**2 + 2.0**2) / 2)]
 
 
 class TestCentroid:
