@@ -91,8 +91,8 @@ _SCAN_WINDOW = 1 << 20
 
 def _entry_spans(data: bytes) -> tuple[int, int, list[int], list[int]] | None:
     """Where the one array at depth 1 of ``data`` opens and closes, and where each object in
-    it starts and ends (one past its '}'). None unless there is exactly one such array and
-    every nest directly in it is an object.
+    it starts and ends (one past its '}'). None unless there is exactly one such array,
+    every nest directly in it is an object and no nest is deeper than orjson may parse.
 
     One scan for the brackets outside strings, a window at a time. It takes every quote for
     the edge of a string, so ``data`` must hold no escaped quote or backslash."""
@@ -112,7 +112,11 @@ def _entry_spans(data: bytes) -> tuple[int, int, list[int], list[int]] | None:
         at, chars = at[outside] + start, chars[outside]
         steps = (chars & 2).astype(np.int64) - 1  # '[' and '{' have bit 1 set: +1; ']' and '}' -1
         after = np.cumsum(steps) + depth
-        depth = int(after[-1]) if len(after) else depth
+        if not len(after):
+            continue
+        if after.max() > _ORJSON_MAX_DEPTH:
+            return None
+        depth = int(after[-1])
         shallow = np.minimum(after, after - steps) <= 2
         found.append((at[shallow], chars[shallow], after[shallow]))
     if not found:
@@ -477,8 +481,10 @@ def _parse_store_slices(path: str | Path, data: bytes) -> tuple[LabeledClusterSe
     None when the file must be parsed whole: it holds an escaped quote or backslash, nests
     deeper than orjson may parse, has other than one array at depth 1 or other than objects
     in it, orjson rejects a piece, or a check fails (its message would name an entry by its
-    place in the slice, and the whole parse names the first fault of the whole file)."""
-    if b"\\" in data and _ESCAPED_QUOTE_OR_BACKSLASH.search(data) or _nesting_depth(data) > _ORJSON_MAX_DEPTH:
+    place in the slice, and the whole parse names the first fault of the whole file).
+    The matrices are allocated once the first slice's vectors have shown ``dimension``
+    components, so a header's huge dimension asks for no memory before a check refuses it."""
+    if b"\\" in data and _ESCAPED_QUOTE_OR_BACKSLASH.search(data):
         return None
     spans = _entry_spans(data)
     if spans is None:
@@ -490,13 +496,16 @@ def _parse_store_slices(path: str | Path, data: bytes) -> tuple[LabeledClusterSe
             return None
         dimension, _, metadata = _store_header(path, header)
         size, end = len(starts), opened + 1
-        columns = [[], [], [], [], np.empty((size, dimension)), np.empty((size, dimension))]
+        columns = [[], [], [], [], np.empty((0, dimension)), np.empty((0, dimension))]
         for first in range(0, size, _SLICE_ENTRIES):
             last = min(first + _SLICE_ENTRIES, size)
             if data[end : starts[first]].strip(_JSON_WHITESPACE) != (b"," if first else b""):
                 return None
             entries = orjson.loads(b"".join((b"[", memoryview(data)[starts[first] : ends[last - 1]], b"]")))
-            for column, values in zip(columns, _entry_columns(path, entries, dimension)):
+            sliced = _entry_columns(path, entries, dimension)
+            if not first:  # _matrix has checked that the slice's vectors have ``dimension`` components
+                columns[4:] = np.empty((size, dimension)), np.empty((size, dimension))
+            for column, values in zip(columns, sliced):
                 column[first:last] = values  # a list grows by the slice's items, a matrix fills its rows
             del entries
             end = ends[last - 1]

@@ -835,6 +835,31 @@ class TestSlicedStoreParse:
         path.write_text(path.read_text().replace(old, new, 1))
         assert formats._parse_store_slices(path, path.read_bytes()) is None
 
+    @pytest.mark.parametrize("slice_entries", [1, 256])
+    def test_a_huge_dimension_with_short_vectors_is_one_format_error(self, tmp_path, monkeypatch, slice_entries):
+        """The header's dimension sizes no matrix before a slice's vectors have shown it, so a
+        claimed 10^12 components asks for no memory and gives the whole parse's message."""
+        monkeypatch.setattr(formats, "_SLICE_ENTRIES", slice_entries)
+        path = tmp_path / "s.json"
+        write_store(two_entries(), path)
+        path.write_text(path.read_text().replace('"dimension": 2', '"dimension": 1000000000000', 1))
+        assert formats._parse_store_slices(path, path.read_bytes()) is None
+        with pytest.raises(FormatError) as raised:
+            read_store(path)
+        assert str(raised.value) == (
+            f"{path}: entry 0: cluster embedding dimensions disagree: "
+            "'centroid' has 2 components, the store has dimension 1000000000000"
+        )
+
+    def test_a_nest_deeper_than_orjson_may_parse_is_declined(self, tmp_path):
+        """The bracket scan that locates the entries also measures the depth, before any orjson call."""
+        path = tmp_path / "s.json"
+        write_store(two_entries(), path, metadata={"deep": 0})
+        deep = "[" * formats._ORJSON_MAX_DEPTH + "]" * formats._ORJSON_MAX_DEPTH
+        path.write_text(path.read_text().replace('"deep": 0', f'"deep": {deep}', 1))
+        assert formats._entry_spans(path.read_bytes()) is None
+        assert read_store(path)[1]["deep"] == json.loads(deep)
+
     def test_top_level_array_holding_an_array_is_not_an_object(self, tmp_path):
         """Its inner array is the one array at depth 1, and its header is a list."""
         path = tmp_path / "s.json"

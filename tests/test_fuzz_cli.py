@@ -50,7 +50,8 @@ def embedding_file(draw) -> tuple[str, int]:
 
 @st.composite
 def store_document(draw, dim: int) -> dict:
-    """A store document of 0-3 entries, in the embedding file's dimension or another."""
+    """A store document of 0-3 entries, in the embedding file's dimension or another; a
+    hostile header may claim 10^12 components, far more than the vectors hold."""
     hostile = draw(st.booleans())
     dim = pick(draw, hostile, dim, [dim + 1, 0])
     numbers = st.one_of(NUMBER, HOSTILE_JSON_NUMBER) if hostile else NUMBER
@@ -71,7 +72,8 @@ def store_document(draw, dim: int) -> dict:
             "best_silhouette_vector": vector(),
             "label_histogram": {label: pick(draw, hostile, len(member_ids), [0, -1, 2**64, 1.5])},
         })
-    return {"format": "clustermatch-store", "version": 1, "dimension": dim, "metadata": {}, "entries": entries}
+    stated = pick(draw, hostile, dim, [10**12])
+    return {"format": "clustermatch-store", "version": 1, "dimension": stated, "metadata": {}, "entries": entries}
 
 
 @st.composite
